@@ -6,7 +6,7 @@ over materialized graphs (:mod:`transmit.graph`, :mod:`transmit.builders`).
 Their exact agreement is the package's correctness argument.
 """
 
-from .builders import build_expr, build_primitive
+from .builders import build_expr
 from .dsl import estimated_size, parse, render, validate
 from .errors import (
     ConnectivityError,
@@ -46,7 +46,6 @@ __all__ = [
     "ValidationError",
     "bfs_distances",
     "build_expr",
-    "build_primitive",
     "compare_rank",
     "distance_histogram",
     "estimated_size",

@@ -16,63 +16,38 @@ reproducible:
 
 from __future__ import annotations
 
+import math
+
 from . import dsl
 from .dsl import TopologyExpr
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError
 from .graph import DEFAULT_VERTEX_CAP, RootedGraph, graph_from_edges
 
 
-def _check_size(size: int, max_vertices: int) -> None:
-    if size > max_vertices:
-        raise ResourceLimitError(size, max_vertices)
-
-
-def complete_graph(n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> RootedGraph:
-    if n < 1:
-        raise ValidationError(f"complete size must be >= 1, got {n}")
-    _check_size(n, max_vertices)
+def complete_graph(n: int) -> RootedGraph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return graph_from_edges(n, edges, root=0)
 
 
-def cycle_graph(n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> RootedGraph:
-    # n = 2 would need a double edge, excluded for simple graphs.
-    if n < 3:
-        raise ValidationError(f"cycle size must be >= 3, got {n}")
-    _check_size(n, max_vertices)
+def cycle_graph(n: int) -> RootedGraph:
     edges = [(i, (i + 1) % n) for i in range(n)]
     return graph_from_edges(n, edges, root=0)
 
 
-def star_graph(n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> RootedGraph:
+def star_graph(n: int) -> RootedGraph:
     """Star with n leaves (n + 1 vertices), rooted at the center."""
-    if n < 1:
-        raise ValidationError(f"star leaf count must be >= 1, got {n}")
-    _check_size(n + 1, max_vertices)
     edges = [(0, leaf) for leaf in range(1, n + 1)]
     return graph_from_edges(n + 1, edges, root=0)
 
 
-def path_graph(n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> RootedGraph:
-    if n < 1:
-        raise ValidationError(f"path size must be >= 1, got {n}")
-    _check_size(n, max_vertices)
+def path_graph(n: int) -> RootedGraph:
     edges = [(i, i + 1) for i in range(n - 1)]
     return graph_from_edges(n, edges, root=0)
 
 
-def mesh_graph(dims: tuple[int, ...], max_vertices: int = DEFAULT_VERTEX_CAP) -> RootedGraph:
+def mesh_graph(dims: tuple[int, ...]) -> RootedGraph:
     """Cartesian product of paths; vertices row-major, root at corner 0."""
-    dims = tuple(dims)
-    if not dims:
-        raise ValidationError("mesh needs at least one dimension")
-    if any(r < 1 for r in dims):
-        raise ValidationError(f"mesh dimensions must be >= 1, got {dims}")
-    size = 1
-    for r in dims:
-        size *= r
-    _check_size(size, max_vertices)
-
+    size = math.prod(dims)
     strides = [0] * len(dims)
     stride = 1
     for axis in range(len(dims) - 1, -1, -1):
@@ -94,15 +69,9 @@ def mesh_graph(dims: tuple[int, ...], max_vertices: int = DEFAULT_VERTEX_CAP) ->
     return graph_from_edges(size, edges, root=0)
 
 
-def tree_graph(arity: int, depth: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> RootedGraph:
+def tree_graph(arity: int, depth: int) -> RootedGraph:
     """Perfect tree in breadth-first numbering: a^j vertices at depth j."""
-    if arity < 1:
-        raise ValidationError(f"tree arity must be >= 1, got {arity}")
-    if depth < 0:
-        raise ValidationError(f"tree depth must be >= 0, got {depth}")
     size = depth + 1 if arity == 1 else (arity ** (depth + 1) - 1) // (arity - 1)
-    _check_size(size, max_vertices)
-
     edges = []
     internal = depth if arity == 1 else (arity**depth - 1) // (arity - 1)
     for parent in range(internal):
@@ -111,33 +80,8 @@ def tree_graph(arity: int, depth: int, max_vertices: int = DEFAULT_VERTEX_CAP) -
     return graph_from_edges(size, edges, root=0)
 
 
-def build_primitive(
-    kind: str, params: tuple[int, ...], max_vertices: int = DEFAULT_VERTEX_CAP
-) -> RootedGraph:
-    """Dispatch on the primitive kind name used by the DSL."""
-    if kind == "mesh":
-        return mesh_graph(tuple(params), max_vertices)
-    if kind == "tree":
-        if len(params) != 2:
-            raise ValidationError("tree takes exactly (arity, depth)")
-        return tree_graph(params[0], params[1], max_vertices)
-    if len(params) != 1:
-        raise ValidationError(f"{kind} takes exactly one parameter")
-    builders = {
-        "complete": complete_graph,
-        "cycle": cycle_graph,
-        "star": star_graph,
-        "path": path_graph,
-    }
-    if kind not in builders:
-        raise ValidationError(f"unknown primitive kind {kind!r}")
-    return builders[kind](params[0], max_vertices)
-
-
 def wedge_graphs(parts: list[RootedGraph]) -> RootedGraph:
     """Glue all parts at their roots; the shared root becomes vertex 0."""
-    if not parts:
-        raise ValidationError("wedge needs at least one part")
     size = sum(p.vertex_count for p in parts) - (len(parts) - 1)
     edges = []
     offset = 1
@@ -153,12 +97,9 @@ def wedge_graphs(parts: list[RootedGraph]) -> RootedGraph:
     return graph_from_edges(size, edges, root=0)
 
 
-def rooted_product_graphs(
-    g: RootedGraph, h: RootedGraph, max_vertices: int = DEFAULT_VERTEX_CAP
-) -> RootedGraph:
+def rooted_product_graphs(g: RootedGraph, h: RootedGraph) -> RootedGraph:
     """One copy of h per vertex of g; g's edges join the copies at h's root."""
     size = g.vertex_count * h.vertex_count
-    _check_size(size, max_vertices)
     nh = h.vertex_count
     edges = []
     for u, v in g.edges():
@@ -170,62 +111,48 @@ def rooted_product_graphs(
     return graph_from_edges(size, edges, root=g.root * nh + h.root)
 
 
-def attach_root(g: RootedGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> RootedGraph:
+def attach_root(g: RootedGraph) -> RootedGraph:
     """Add a pendant vertex at the root and make the pendant the new root."""
-    size = g.vertex_count + 1
-    _check_size(size, max_vertices)
     edges = [(0, g.root + 1)]
     for u, v in g.edges():
         edges.append((u + 1, v + 1))
-    return graph_from_edges(size, edges, root=0)
+    return graph_from_edges(g.vertex_count + 1, edges, root=0)
 
 
-def power_graph(g: RootedGraph, k: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> RootedGraph:
+def power_graph(g: RootedGraph, k: int) -> RootedGraph:
     """k-fold rooted product of g with itself."""
-    if k < 1:
-        raise ValidationError(f"power exponent must be >= 1, got {k}")
-    _check_size(g.vertex_count**k, max_vertices)
     result = g
     for _ in range(k - 1):
-        result = rooted_product_graphs(result, g, max_vertices)
+        result = rooted_product_graphs(result, g)
     return result
 
 
-def build_expr(expr: TopologyExpr, max_vertices: int = DEFAULT_VERTEX_CAP) -> RootedGraph:
-    """Recursively materialize a validated expression.
+# One builder per node class, looked up by name at call time like the
+# closed forms in :mod:`transmit.formulas`.
+_GRAPH_OPS = {
+    dsl.Complete: lambda e, _: complete_graph(e.n),
+    dsl.Cycle: lambda e, _: cycle_graph(e.n),
+    dsl.Star: lambda e, _: star_graph(e.n),
+    dsl.Path: lambda e, _: path_graph(e.n),
+    dsl.Mesh: lambda e, _: mesh_graph(e.dims),
+    dsl.Tree: lambda e, _: tree_graph(e.arity, e.depth),
+    dsl.Wedge: lambda _, parts: wedge_graphs(parts),
+    dsl.RootedProduct: lambda _, gh: rooted_product_graphs(*gh),
+    dsl.Power: lambda e, base: power_graph(base[0], e.exponent),
+    dsl.Attach: lambda _, child: attach_root(child[0]),
+}
 
-    The total size is estimated up front, so an oversized expression fails
-    fast with the estimate attached; intermediate graphs are never larger
+
+def build_expr(expr: TopologyExpr, max_vertices: int = DEFAULT_VERTEX_CAP) -> RootedGraph:
+    """Materialize a validated expression, bottom-up.
+
+    The exact size is computed up front, so an oversized expression fails
+    fast with the estimate attached. This is the only construction cap:
+    sizes only grow towards the root, so no intermediate graph is larger
     than the final one.
     """
     dsl.require_valid(expr)
     size = dsl.estimated_size(expr)
     if size > max_vertices:
         raise ResourceLimitError(size, max_vertices)
-    return _build(expr, max_vertices)
-
-
-def _build(expr: TopologyExpr, max_vertices: int) -> RootedGraph:
-    if isinstance(expr, dsl.Complete):
-        return complete_graph(expr.n, max_vertices)
-    if isinstance(expr, dsl.Cycle):
-        return cycle_graph(expr.n, max_vertices)
-    if isinstance(expr, dsl.Star):
-        return star_graph(expr.n, max_vertices)
-    if isinstance(expr, dsl.Path):
-        return path_graph(expr.n, max_vertices)
-    if isinstance(expr, dsl.Mesh):
-        return mesh_graph(expr.dims, max_vertices)
-    if isinstance(expr, dsl.Tree):
-        return tree_graph(expr.arity, expr.depth, max_vertices)
-    if isinstance(expr, dsl.Wedge):
-        return wedge_graphs([_build(c, max_vertices) for c in expr.children])
-    if isinstance(expr, dsl.RootedProduct):
-        return rooted_product_graphs(
-            _build(expr.left, max_vertices), _build(expr.right, max_vertices), max_vertices
-        )
-    if isinstance(expr, dsl.Power):
-        return power_graph(_build(expr.base, max_vertices), expr.exponent, max_vertices)
-    if isinstance(expr, dsl.Attach):
-        return attach_root(_build(expr.child, max_vertices), max_vertices)
-    raise ValidationError(f"unknown expression node {expr!r}")
+    return dsl.fold(expr, _GRAPH_OPS)

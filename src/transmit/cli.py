@@ -16,12 +16,13 @@ from fractions import Fraction
 import click
 
 from .builders import build_expr
-from .dsl import TopologyExpr, parse, validate
+from .dsl import parse
 from .errors import (
     ResourceLimitError,
     TopologyParseError,
     TransmitError,
     ValidationError,
+    decimal_text,
 )
 from .formulas import TransmissionTriple, evaluate_expr, gf_series, tree_triple
 from .graph import (
@@ -44,7 +45,7 @@ _format_option = click.option(
 )
 _cap_option = click.option(
     "--max-vertices",
-    type=int,
+    type=click.IntRange(min=1),
     default=DEFAULT_VERTEX_CAP,
     show_default=True,
     help="Vertex cap for oracle-backed commands.",
@@ -62,23 +63,23 @@ def _rational_text(value: Fraction | None) -> str:
     if value is None:
         return "-"
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator} ({_decimal_display(value)})"
+        return decimal_text(value.numerator)
+    return f"{_rational_cell(value)} ({_decimal_display(value)})"
 
 
 def _rational_cell(value: Fraction | None) -> str:
     """Exact single-cell form for CSV."""
     if value is None:
         return ""
-    return f"{value.numerator}/{value.denominator}"
+    return f"{decimal_text(value.numerator)}/{decimal_text(value.denominator)}"
 
 
 def _rational_json(value: Fraction | None) -> dict | None:
     if value is None:
         return None
     return {
-        "num": str(value.numerator),
-        "den": str(value.denominator),
+        "num": decimal_text(value.numerator),
+        "den": decimal_text(value.denominator),
         "display": _decimal_display(value),
     }
 
@@ -91,14 +92,6 @@ def _parse_fraction(text: str, option: str) -> Fraction:
     if value < 0:
         raise ValidationError(f"{option} must be nonnegative, got {text}")
     return value
-
-
-def _parse_and_validate(text: str) -> TopologyExpr:
-    expr = parse(text)
-    violations = validate(expr)
-    if violations:
-        raise ValidationError("; ".join(violations))
-    return expr
 
 
 def _echo_table(rows: list[tuple[str, ...]]) -> None:
@@ -119,9 +112,9 @@ def _echo_csv(rows: list[tuple[str, ...]]) -> None:
 def _report_json(report: TopologyReport) -> dict:
     return {
         "expr": report.expression_text,
-        "size": str(report.triple.size),
-        "delta": str(report.triple.delta),
-        "delta0": str(report.triple.delta0),
+        "size": decimal_text(report.triple.size),
+        "delta": decimal_text(report.triple.delta),
+        "delta0": decimal_text(report.triple.delta0),
         "mean_all": _rational_json(report.mean_all),
         "mean_distinct": _rational_json(report.mean_distinct),
         "expected_messages": _rational_json(report.expected_messages),
@@ -131,9 +124,9 @@ def _report_json(report: TopologyReport) -> dict:
 def _report_rows(report: TopologyReport) -> list[tuple[str, str]]:
     rows = [
         ("expr", report.expression_text),
-        ("size", str(report.triple.size)),
-        ("delta", str(report.triple.delta)),
-        ("delta0", str(report.triple.delta0)),
+        ("size", decimal_text(report.triple.size)),
+        ("delta", decimal_text(report.triple.delta)),
+        ("delta0", decimal_text(report.triple.delta0)),
         ("mean_all", _rational_text(report.mean_all)),
         ("mean_distinct", _rational_text(report.mean_distinct)),
     ]
@@ -157,8 +150,7 @@ def eval_cmd(expr_text: str, rate: str | None, time_: str | None, fmt: str) -> i
     """Evaluate EXPR with the closed-form engine (no size cap)."""
     if (rate is None) != (time_ is None):
         raise ValidationError("--rate and --time must be given together")
-    expr = _parse_and_validate(expr_text)
-    triple = evaluate_expr(expr)
+    triple = evaluate_expr(parse(expr_text))
     report = summarize(
         expr_text,
         triple,
@@ -171,9 +163,9 @@ def eval_cmd(expr_text: str, rate: str | None, time_: str | None, fmt: str) -> i
         header = ("expr", "size", "delta", "delta0", "mean_all", "mean_distinct", "expected_messages")
         row = (
             report.expression_text,
-            str(report.triple.size),
-            str(report.triple.delta),
-            str(report.triple.delta0),
+            decimal_text(report.triple.size),
+            decimal_text(report.triple.delta),
+            decimal_text(report.triple.delta0),
             _rational_cell(report.mean_all),
             _rational_cell(report.mean_distinct),
             _rational_cell(report.expected_messages),
@@ -189,7 +181,7 @@ def eval_cmd(expr_text: str, rate: str | None, time_: str | None, fmt: str) -> i
 @_cap_option
 def verify(expr_text: str, max_vertices: int) -> int:
     """Check the closed-form triple of EXPR against the BFS oracle."""
-    expr = _parse_and_validate(expr_text)
+    expr = parse(expr_text)
     closed = evaluate_expr(expr)
     graph = build_expr(expr, max_vertices)
     oracle = TransmissionTriple(
@@ -200,9 +192,9 @@ def verify(expr_text: str, max_vertices: int) -> int:
     rows = [
         ("expr", expr_text, ""),
         ("", "closed-form", "oracle"),
-        ("size", str(closed.size), str(oracle.size)),
-        ("delta", str(closed.delta), str(oracle.delta)),
-        ("delta0", str(closed.delta0), str(oracle.delta0)),
+        ("size", decimal_text(closed.size), decimal_text(oracle.size)),
+        ("delta", decimal_text(closed.delta), decimal_text(oracle.delta)),
+        ("delta0", decimal_text(closed.delta0), decimal_text(oracle.delta0)),
     ]
     _echo_table(rows)
     if closed == oracle:
@@ -228,10 +220,10 @@ def compare(expr_texts: tuple[str, ...], sort_key: str, fmt: str) -> int:
     reports = []
     for text in expr_texts:
         try:
-            expr = _parse_and_validate(text)
+            triple = evaluate_expr(parse(text))
         except (TopologyParseError, ValidationError) as exc:
             raise ValidationError(f"in expression {text!r}: {exc}")
-        reports.append(summarize(text, evaluate_expr(expr)))
+        reports.append(summarize(text, triple))
     key = "mean_distinct" if sort_key == "mean" else sort_key
     ranked = compare_rank(reports, key)
 
@@ -239,7 +231,7 @@ def compare(expr_texts: tuple[str, ...], sort_key: str, fmt: str) -> int:
         payload = {
             "sort": sort_key,
             "reports": [
-                dict(rank=str(i + 1), **_report_json(r)) for i, r in enumerate(ranked)
+                dict(rank=decimal_text(i + 1), **_report_json(r)) for i, r in enumerate(ranked)
             ],
         }
         click.echo(json.dumps(payload, indent=2))
@@ -250,11 +242,11 @@ def compare(expr_texts: tuple[str, ...], sort_key: str, fmt: str) -> int:
         cell = _rational_cell if fmt == "csv" else _rational_text
         rows.append(
             (
-                str(i + 1),
+                decimal_text(i + 1),
                 r.expression_text,
-                str(r.triple.size),
-                str(r.triple.delta),
-                str(r.triple.delta0),
+                decimal_text(r.triple.size),
+                decimal_text(r.triple.delta),
+                decimal_text(r.triple.delta0),
                 cell(r.mean_distinct),
             )
         )
@@ -282,12 +274,12 @@ def series(arity: int, terms: int, fmt: str) -> int:
 
     if fmt == "json":
         payload = {
-            "arity": str(arity),
+            "arity": decimal_text(arity),
             "terms": [
                 {
-                    "k": str(k),
-                    "coefficient": str(c),
-                    "recurrence_delta": str(r),
+                    "k": decimal_text(k),
+                    "coefficient": decimal_text(c),
+                    "recurrence_delta": decimal_text(r),
                     "match": m,
                 }
                 for k, c, r, m in rows
@@ -297,7 +289,9 @@ def series(arity: int, terms: int, fmt: str) -> int:
     else:
         text_rows = [("k", "coefficient", "tree_delta", "match")]
         for k, c, r, m in rows:
-            text_rows.append((str(k), str(c), str(r), "yes" if m else "NO"))
+            text_rows.append(
+                (decimal_text(k), decimal_text(c), decimal_text(r), "yes" if m else "NO")
+            )
         if fmt == "csv":
             _echo_csv(text_rows)
         else:
@@ -311,23 +305,24 @@ def series(arity: int, terms: int, fmt: str) -> int:
 @_format_option
 def hist(expr_text: str, max_vertices: int, fmt: str) -> int:
     """Distance histogram of EXPR from the BFS oracle, plus delta."""
-    expr = _parse_and_validate(expr_text)
-    graph = build_expr(expr, max_vertices)
+    graph = build_expr(parse(expr_text), max_vertices)
     histogram = distance_histogram(graph, max_vertices)
     delta = histogram.transmission()
 
     if fmt == "json":
         payload = {
             "expr": expr_text,
-            "counts": {str(d): str(c) for d, c in sorted(histogram.counts.items())},
-            "delta": str(delta),
+            "counts": {
+                decimal_text(d): decimal_text(c) for d, c in sorted(histogram.counts.items())
+            },
+            "delta": decimal_text(delta),
         }
         click.echo(json.dumps(payload, indent=2))
         return 0
     rows = [("distance", "pairs")]
     for d, c in sorted(histogram.counts.items()):
-        rows.append((str(d), str(c)))
-    rows.append(("delta", str(delta)))
+        rows.append((decimal_text(d), decimal_text(c)))
+    rows.append(("delta", decimal_text(delta)))
     if fmt == "csv":
         _echo_csv(rows)
     else:

@@ -1,20 +1,31 @@
-"""Topology description language: expression tree, parser, validation.
+"""Topology description language: expression nodes, their table, parser,
+validation and the one traversal every engine uses.
 
-Grammar (whitespace permitted around tokens, input is a single expression):
+Grammar (ASCII whitespace permitted around tokens, input is a single expression):
 
     expr := "complete(" INT ")" | "cycle(" INT ")" | "star(" INT ")"
           | "path(" INT ")" | "mesh(" INT {"," INT} ")" | "tree(" INT "," INT ")"
           | "wedge(" expr {"," expr} ")" | "rprod(" expr "," expr ")"
           | "power(" expr "," INT ")" | "attach(" expr ")"
-    INT  := [0-9]+
+    INT  := [0-9]+        (ASCII digits only)
 
 ``attach`` adds a pendant vertex to the root and re-roots there.
+
+Each node class is described once, in :data:`SPECS`: its keyword, its
+argument schema (kind, minimum, noun) and its size rule. The parser,
+:func:`validate`, :func:`render` and :func:`estimated_size` are driven by
+that table, and :func:`fold` is the bottom-up traversal that the
+closed-form engine and the graph builders share. Nothing here recurses, so
+nesting depth is bounded by memory alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+import math
+import re
+import sys
+from dataclasses import dataclass, fields
+from typing import Any, Callable, Union
 
 from .errors import TopologyParseError, ValidationError
 
@@ -92,9 +103,114 @@ TopologyExpr = Union[
     Complete, Cycle, Star, Path, Mesh, Tree, Wedge, RootedProduct, Power, Attach
 ]
 
+# Argument kinds: one integer, one or more integers, one sub-expression,
+# one or more sub-expressions. A variadic kind is always the last argument.
+INT, INTS, EXPR, EXPRS = "int", "ints", "expr", "exprs"
+_VARIADIC = (INTS, EXPRS)
 
-class _Parser:
-    """Recursive-descent parser. Offsets in errors are 1-based."""
+
+@dataclass(frozen=True)
+class Arg:
+    """One node argument, in field order.
+
+    ``minimum`` bounds every integer an int/ints argument holds; ``noun``
+    names the argument in violation messages (an expr argument has none).
+    """
+
+    kind: str
+    noun: str = ""
+    minimum: int = 0
+
+
+@dataclass(frozen=True)
+class Spec:
+    """Everything the package knows about one node class apart from its
+    closed form and its builder: the keyword, the argument schema and the
+    exact vertex count as a fold op over the children's counts."""
+
+    keyword: str
+    args: tuple[Arg, ...]
+    size: Callable[[Any, list[int]], int]
+
+
+def _tree_size(e: Tree, _) -> int:
+    if e.arity == 1:
+        return e.depth + 1
+    return (e.arity ** (e.depth + 1) - 1) // (e.arity - 1)
+
+
+SPECS: dict[type, Spec] = {
+    Complete: Spec("complete", (Arg(INT, "size", 1),), lambda e, _: e.n),
+    # cycle(2) would need a double edge, which a simple graph cannot have
+    Cycle: Spec("cycle", (Arg(INT, "size", 3),), lambda e, _: e.n),
+    Star: Spec("star", (Arg(INT, "leaf count", 1),), lambda e, _: e.n + 1),
+    Path: Spec("path", (Arg(INT, "size", 1),), lambda e, _: e.n),
+    Mesh: Spec("mesh", (Arg(INTS, "dimension", 1),), lambda e, _: math.prod(e.dims)),
+    Tree: Spec("tree", (Arg(INT, "arity", 1), Arg(INT, "depth", 0)), _tree_size),
+    Wedge: Spec("wedge", (Arg(EXPRS, "child"),), lambda _, s: sum(s) - (len(s) - 1)),
+    RootedProduct: Spec("rprod", (Arg(EXPR), Arg(EXPR)), lambda _, s: s[0] * s[1]),
+    Power: Spec("power", (Arg(EXPR), Arg(INT, "exponent", 1)), lambda e, s: s[0] ** e.exponent),
+    Attach: Spec("attach", (Arg(EXPR),), lambda _, s: s[0] + 1),
+}
+
+# Worked out once from SPECS, so the traversals below do no per-node
+# introspection: keyword -> (class, args), class -> (keyword, ((field,
+# arg), ...)), and class -> the (field, variadic) pairs holding
+# sub-expressions.
+_CLASSES = {spec.keyword: (cls, spec.args) for cls, spec in SPECS.items()}
+_LAYOUT = {
+    cls: (spec.keyword, tuple(zip((f.name for f in fields(cls)), spec.args)))
+    for cls, spec in SPECS.items()
+}
+_CHILD_FIELDS = {
+    cls: tuple((field, arg.kind == EXPRS) for field, arg in layout if arg.kind in (EXPR, EXPRS))
+    for cls, (_, layout) in _LAYOUT.items()
+}
+
+
+def _unknown(node: Any) -> ValidationError:
+    return ValidationError(f"unknown expression node {node!r}")
+
+
+def fold(expr: TopologyExpr, ops: dict[type, Callable[[Any, list], Any]]) -> Any:
+    """Post-order fold with an explicit stack.
+
+    Each node becomes ``ops[type(node)](node, values)``, where ``values``
+    lists the results for its sub-expressions in field order (empty for a
+    primitive). Nodes are never hashed or compared.
+    """
+    results: list = []
+    stack: list = [(expr, None)]
+    while stack:
+        node, count = stack.pop()
+        if count is None:
+            try:
+                child_fields = _CHILD_FIELDS[type(node)]
+            except KeyError:
+                raise _unknown(node) from None
+            values: list = []
+            for field, variadic in child_fields:
+                if variadic:
+                    values.extend(getattr(node, field))
+                else:
+                    values.append(getattr(node, field))
+            if values:  # revisit the node once its children are folded
+                stack.append((node, len(values)))
+                stack.extend([(child, None) for child in reversed(values)])
+                continue
+        else:
+            values = results[-count:]
+            del results[-count:]
+        results.append(ops[type(node)](node, values))
+    return results[0]
+
+
+_SPACES = frozenset("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ")  # the ASCII characters str.isspace() accepts
+_DIGITS = re.compile(r"[0-9]+")
+
+
+class _Scanner:
+    """Token reader over the input text. Offsets in errors are 1-based."""
 
     def __init__(self, text: str):
         self.text = text
@@ -108,110 +224,50 @@ class _Parser:
         return TopologyParseError(self.pos + 1, expected, found)
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        while self.pos < len(self.text) and self.text[self.pos] in _SPACES:
             self.pos += 1
 
-    def expect(self, token: str) -> None:
+    def accept(self, token: str) -> bool:
+        """Consume ``token`` if it comes next."""
         self.skip_ws()
         if self.text.startswith(token, self.pos):
             self.pos += len(token)
-        else:
+            return True
+        return False
+
+    def expect(self, token: str) -> None:
+        if not self.accept(token):
             raise self.error(f'"{token}"')
 
-    def peek_is(self, token: str) -> bool:
+    def integer(self) -> int:
         self.skip_ws()
-        return self.text.startswith(token, self.pos)
-
-    def parse_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        match = _DIGITS.match(self.text, self.pos)
+        if match is None:
             raise self.error("an integer")
-        return int(self.text[start : self.pos])
+        try:
+            value = int(match.group())
+        except ValueError:  # longer than the interpreter converts
+            raise TopologyParseError(
+                self.pos + 1,
+                f"an integer of at most {sys.get_int_max_str_digits()} digits",
+                f"{match.end() - self.pos} digits",
+            ) from None
+        self.pos = match.end()
+        return value
 
-    def parse_keyword(self) -> str:
+    def node_class(self) -> tuple[type, tuple[Arg, ...]]:
+        """Read a keyword; return its node class and argument schema."""
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isalpha():
             self.pos += 1
         if self.pos == start:
             raise self.error("a topology keyword")
-        word = self.text[start : self.pos]
-        if word not in _KEYWORDS:
+        entry = _CLASSES.get(self.text[start : self.pos])
+        if entry is None:
             self.pos = start
-            raise self.error("one of " + ", ".join(sorted(_KEYWORDS)))
-        return word
-
-    def parse_expr(self) -> TopologyExpr:
-        keyword = self.parse_keyword()
-        self.expect("(")
-        node = _KEYWORDS[keyword](self)
-        self.expect(")")
-        return node
-
-    def parse_all(self) -> TopologyExpr:
-        node = self.parse_expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("end of input")
-        return node
-
-
-def _int_args(parser: _Parser) -> list[int]:
-    values = [parser.parse_int()]
-    while parser.peek_is(","):
-        parser.expect(",")
-        values.append(parser.parse_int())
-    return values
-
-
-def _parse_mesh(parser: _Parser) -> Mesh:
-    return Mesh(tuple(_int_args(parser)))
-
-
-def _parse_tree(parser: _Parser) -> Tree:
-    arity = parser.parse_int()
-    parser.expect(",")
-    depth = parser.parse_int()
-    return Tree(arity, depth)
-
-
-def _parse_wedge(parser: _Parser) -> Wedge:
-    children = [parser.parse_expr()]
-    while parser.peek_is(","):
-        parser.expect(",")
-        children.append(parser.parse_expr())
-    return Wedge(tuple(children))
-
-
-def _parse_rprod(parser: _Parser) -> RootedProduct:
-    left = parser.parse_expr()
-    parser.expect(",")
-    right = parser.parse_expr()
-    return RootedProduct(left, right)
-
-
-def _parse_power(parser: _Parser) -> Power:
-    base = parser.parse_expr()
-    parser.expect(",")
-    exponent = parser.parse_int()
-    return Power(base, exponent)
-
-
-_KEYWORDS = {
-    "complete": lambda p: Complete(p.parse_int()),
-    "cycle": lambda p: Cycle(p.parse_int()),
-    "star": lambda p: Star(p.parse_int()),
-    "path": lambda p: Path(p.parse_int()),
-    "mesh": _parse_mesh,
-    "tree": _parse_tree,
-    "wedge": _parse_wedge,
-    "rprod": _parse_rprod,
-    "power": _parse_power,
-    "attach": lambda p: Attach(p.parse_expr()),
-}
+            raise self.error("one of " + ", ".join(sorted(_CLASSES)))
+        return entry
 
 
 def parse(text: str) -> TopologyExpr:
@@ -220,58 +276,93 @@ def parse(text: str) -> TopologyExpr:
     The result is structurally well formed but parameter ranges are not yet
     checked; run :func:`validate` before building or evaluating.
     """
-    return _Parser(text).parse_all()
+    scan = _Scanner(text)
+    # The node being read is (cls, args, values): its class, its schema and
+    # the argument values so far, a variadic argument's items flattened at
+    # the end. Its enclosing nodes wait on the stack in the same form.
+    stack: list[tuple[type, tuple[Arg, ...], list]] = []
+    cls, args = scan.node_class()
+    scan.expect("(")
+    values: list = []
+    while True:
+        n = len(values)
+        if n < len(args):
+            if n:
+                scan.expect(",")
+            kind = args[n].kind
+        elif args[-1].kind in _VARIADIC and scan.accept(","):
+            kind = args[-1].kind
+        else:
+            scan.expect(")")
+            last = len(args) - 1
+            if args[last].kind in _VARIADIC:
+                node = cls(*values[:last], tuple(values[last:]))
+            else:
+                node = cls(*values)
+            if not stack:
+                break
+            cls, args, values = stack.pop()
+            values.append(node)
+            continue
+        if kind in (INT, INTS):
+            values.append(scan.integer())
+        else:
+            stack.append((cls, args, values))
+            cls, args = scan.node_class()
+            scan.expect("(")
+            values = []
+    scan.skip_ws()
+    if scan.pos != len(text):
+        raise scan.error("end of input")
+    return node
+
+
+def _path_text(path: tuple | None) -> str:
+    steps = []
+    while path is not None:
+        path, field, index = path
+        steps.append(f".{field}" if index is None else f".{field}[{index}]")
+    return "$" + "".join(reversed(steps))
 
 
 def validate(expr: TopologyExpr) -> list[str]:
     """Collect every parameter-range violation, each tagged with a node path.
 
-    Returns an empty list when the expression is valid; never raises.
+    Returns an empty list when the expression is valid; raises only for an
+    object that is not an expression node. Nodes are visited pre-order;
+    each carries its path as a ``(parent path, field, index)`` link that is
+    spelled out only for a violation.
     """
     violations: list[str] = []
-
-    def visit(node: TopologyExpr, path: str) -> None:
-        if isinstance(node, Complete):
-            if node.n < 1:
-                violations.append(f"{path}: complete size must be >= 1")
-        elif isinstance(node, Cycle):
-            if node.n < 3:
-                violations.append(f"{path}: cycle size must be >= 3")
-        elif isinstance(node, Star):
-            if node.n < 1:
-                violations.append(f"{path}: star leaf count must be >= 1")
-        elif isinstance(node, Path):
-            if node.n < 1:
-                violations.append(f"{path}: path size must be >= 1")
-        elif isinstance(node, Mesh):
-            if not node.dims:
-                violations.append(f"{path}: mesh needs at least one dimension")
-            for i, r in enumerate(node.dims):
-                if r < 1:
-                    violations.append(f"{path}: mesh dimension {i} must be >= 1")
-        elif isinstance(node, Tree):
-            if node.arity < 1:
-                violations.append(f"{path}: tree arity must be >= 1")
-            if node.depth < 0:
-                violations.append(f"{path}: tree depth must be >= 0")
-        elif isinstance(node, Wedge):
-            if not node.children:
-                violations.append(f"{path}: wedge needs at least one child")
-            for i, child in enumerate(node.children):
-                visit(child, f"{path}.children[{i}]")
-        elif isinstance(node, RootedProduct):
-            visit(node.left, f"{path}.left")
-            visit(node.right, f"{path}.right")
-        elif isinstance(node, Power):
-            if node.exponent < 1:
-                violations.append(f"{path}: power exponent must be >= 1")
-            visit(node.base, f"{path}.base")
-        elif isinstance(node, Attach):
-            visit(node.child, f"{path}.child")
-        else:
-            raise ValidationError(f"unknown expression node {node!r}")
-
-    visit(expr, "$")
+    stack: list = [(expr, None)]
+    while stack:
+        node, path = stack.pop()
+        try:
+            keyword, layout = _LAYOUT[type(node)]
+        except KeyError:
+            raise _unknown(node) from None
+        children = []
+        for field, arg in layout:
+            value = getattr(node, field)
+            if arg.kind == EXPR:
+                children.append((value, (path, field, None)))
+            elif arg.kind == INT:
+                if value < arg.minimum:
+                    violations.append(
+                        f"{_path_text(path)}: {keyword} {arg.noun} must be >= {arg.minimum}"
+                    )
+            else:
+                if not value:
+                    violations.append(f"{_path_text(path)}: {keyword} needs at least one {arg.noun}")
+                if arg.kind == EXPRS:
+                    children.extend((child, (path, field, i)) for i, child in enumerate(value))
+                else:
+                    for i, item in enumerate(value):
+                        if item < arg.minimum:
+                            violations.append(
+                                f"{_path_text(path)}: {keyword} {arg.noun} {i} must be >= {arg.minimum}"
+                            )
+        stack.extend(reversed(children))
     return violations
 
 
@@ -282,52 +373,33 @@ def require_valid(expr: TopologyExpr) -> None:
         raise ValidationError("; ".join(violations))
 
 
+_SIZE_OPS = {cls: spec.size for cls, spec in SPECS.items()}
+
+
 def estimated_size(expr: TopologyExpr) -> int:
     """Exact vertex count of the built graph, without building it."""
-    if isinstance(expr, (Complete, Cycle, Path)):
-        return expr.n
-    if isinstance(expr, Star):
-        return expr.n + 1
-    if isinstance(expr, Mesh):
-        size = 1
-        for r in expr.dims:
-            size *= r
-        return size
-    if isinstance(expr, Tree):
-        if expr.arity == 1:
-            return expr.depth + 1
-        return (expr.arity ** (expr.depth + 1) - 1) // (expr.arity - 1)
-    if isinstance(expr, Wedge):
-        return sum(estimated_size(c) for c in expr.children) - (len(expr.children) - 1)
-    if isinstance(expr, RootedProduct):
-        return estimated_size(expr.left) * estimated_size(expr.right)
-    if isinstance(expr, Power):
-        return estimated_size(expr.base) ** expr.exponent
-    if isinstance(expr, Attach):
-        return estimated_size(expr.child) + 1
-    raise ValidationError(f"unknown expression node {expr!r}")
+    return fold(expr, _SIZE_OPS)
+
+
+def _render_node(node: TopologyExpr, texts: list[str]) -> str:
+    keyword, layout = _LAYOUT[type(node)]
+    parts: list[str] = []
+    texts_left = iter(texts)
+    for field, arg in layout:
+        if arg.kind == INT:
+            parts.append(str(getattr(node, field)))
+        elif arg.kind == INTS:
+            parts.extend(map(str, getattr(node, field)))
+        elif arg.kind == EXPR:
+            parts.append(next(texts_left))
+        else:
+            parts.extend(texts_left)
+    return f"{keyword}({','.join(parts)})"
+
+
+_RENDER_OPS = dict.fromkeys(SPECS, _render_node)
 
 
 def render(expr: TopologyExpr) -> str:
     """Canonical text form; ``parse(render(e))`` reproduces ``e``."""
-    if isinstance(expr, Complete):
-        return f"complete({expr.n})"
-    if isinstance(expr, Cycle):
-        return f"cycle({expr.n})"
-    if isinstance(expr, Star):
-        return f"star({expr.n})"
-    if isinstance(expr, Path):
-        return f"path({expr.n})"
-    if isinstance(expr, Mesh):
-        return "mesh(" + ",".join(str(r) for r in expr.dims) + ")"
-    if isinstance(expr, Tree):
-        return f"tree({expr.arity},{expr.depth})"
-    if isinstance(expr, Wedge):
-        return "wedge(" + ",".join(render(c) for c in expr.children) + ")"
-    if isinstance(expr, RootedProduct):
-        return f"rprod({render(expr.left)},{render(expr.right)})"
-    if isinstance(expr, Power):
-        return f"power({render(expr.base)},{expr.exponent})"
-    if isinstance(expr, Attach):
-        return f"attach({render(expr.child)})"
-    raise ValidationError(f"unknown expression node {expr!r}")
+    return fold(expr, _RENDER_OPS)

@@ -1,6 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer formatting
+their messages and the command line share."""
 
 from __future__ import annotations
+
+import decimal
+
+
+def decimal_text(n: int) -> str:
+    """Decimal digits of ``n`` at any length.
+
+    ``str(n)`` refuses ints longer than ``sys.get_int_max_str_digits()``;
+    the conversion through :class:`decimal.Decimal` has no such limit and,
+    unlike ``sys.set_int_max_str_digits``, changes nothing process-wide.
+    """
+    return str(decimal.Decimal(n))
 
 
 class TransmitError(Exception):
@@ -27,7 +40,8 @@ class ResourceLimitError(TransmitError):
         self.limit = limit
         super().__init__(
             message
-            or f"estimated size {estimated_size} exceeds the vertex cap of {limit}"
+            or f"estimated size {decimal_text(estimated_size)} exceeds the vertex cap"
+            f" of {decimal_text(limit)}"
         )
 
 

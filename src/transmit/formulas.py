@@ -15,6 +15,7 @@ a remainder means a formula was transcribed wrong, never a rounding issue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import dsl
@@ -88,14 +89,10 @@ class SeriesTerms:
 
 
 def complete_triple(n: int) -> TransmissionTriple:
-    if n < 1:
-        raise ValidationError(f"complete size must be >= 1, got {n}")
     return TransmissionTriple(n, n * (n - 1), n - 1)
 
 
 def cycle_triple(n: int) -> TransmissionTriple:
-    if n < 3:
-        raise ValidationError(f"cycle size must be >= 3, got {n}")
     if n % 2 == 1:
         delta = exact_div(n**3 - n, 4)
     else:
@@ -105,15 +102,11 @@ def cycle_triple(n: int) -> TransmissionTriple:
 
 def star_triple(n: int) -> TransmissionTriple:
     """Star with n leaves, rooted at the center."""
-    if n < 1:
-        raise ValidationError(f"star leaf count must be >= 1, got {n}")
     return TransmissionTriple(n + 1, 2 * n**2, n)
 
 
 def path_triple(n: int) -> TransmissionTriple:
     """Path with n vertices, rooted at an endpoint."""
-    if n < 1:
-        raise ValidationError(f"path size must be >= 1, got {n}")
     return TransmissionTriple(n, exact_div(n**3 - n, 3), n * (n - 1) // 2)
 
 
@@ -124,14 +117,7 @@ def mesh_triple(dims: tuple[int, ...]) -> TransmissionTriple:
     squared sizes of the other axes; delta0 is the corner's coordinatewise
     distance sum.
     """
-    dims = tuple(dims)
-    if not dims:
-        raise ValidationError("mesh needs at least one dimension")
-    if any(r < 1 for r in dims):
-        raise ValidationError(f"mesh dimensions must be >= 1, got {dims}")
-    size = 1
-    for r in dims:
-        size *= r
+    size = math.prod(dims)
     delta = 0
     delta0 = 0
     for axis, r in enumerate(dims):
@@ -144,35 +130,12 @@ def mesh_triple(dims: tuple[int, ...]) -> TransmissionTriple:
     return TransmissionTriple(size, delta, delta0)
 
 
-def primitive_triple(kind: str, params: tuple[int, ...]) -> TransmissionTriple:
-    """Dispatch on the primitive kind name used by the DSL."""
-    if kind == "mesh":
-        return mesh_triple(tuple(params))
-    if kind == "tree":
-        if len(params) != 2:
-            raise ValidationError("tree takes exactly (arity, depth)")
-        return tree_triple(params[0], params[1])
-    if len(params) != 1:
-        raise ValidationError(f"{kind} takes exactly one parameter")
-    forms = {
-        "complete": complete_triple,
-        "cycle": cycle_triple,
-        "star": star_triple,
-        "path": path_triple,
-    }
-    if kind not in forms:
-        raise ValidationError(f"unknown primitive kind {kind!r}")
-    return forms[kind](params[0])
-
-
 def wedge_triple(parts: list[TransmissionTriple]) -> TransmissionTriple:
     """One-point union of the parts at their roots.
 
     delta0 adds up; each part's delta gains cross-part paths through the
     shared root, counted as 2 * delta0_i * (other parts' non-root vertices).
     """
-    if not parts:
-        raise ValidationError("wedge needs at least one part")
     m = len(parts)
     size = sum(p.size for p in parts) - (m - 1)
     delta0 = sum(p.delta0 for p in parts)
@@ -212,10 +175,6 @@ def tree_triple(arity: int, depth: int) -> TransmissionTriple:
     Each level wedges ``arity`` pendant-rooted copies of the previous tree;
     this is integer-only and valid for arity 1 (a path) as well.
     """
-    if arity < 1:
-        raise ValidationError(f"tree arity must be >= 1, got {arity}")
-    if depth < 0:
-        raise ValidationError(f"tree depth must be >= 0, got {depth}")
     t = SINGLE_VERTEX
     for _ in range(depth):
         t = wedge_triple([attach_root_triple(t)] * arity)
@@ -278,8 +237,6 @@ def power_coefficients_closed_form(n: int, k: int) -> tuple[int, int]:
 
 def power_triple(base: TransmissionTriple, k: int) -> TransmissionTriple:
     """k-fold rooted product of a graph with itself."""
-    if k < 1:
-        raise ValidationError(f"power exponent must be >= 1, got {k}")
     n = base.size
     a, b = power_coefficients(n, k)
     size = n**k
@@ -309,31 +266,24 @@ def gf_series(arity: int, terms: int) -> SeriesTerms:
     return SeriesTerms(arity, coefficients)
 
 
+# One closed form per node class. Entries look the functions up by name at
+# call time, so wrapping a module attribute (as a tracer does) still sees
+# every call.
+_TRIPLE_OPS = {
+    dsl.Complete: lambda e, _: complete_triple(e.n),
+    dsl.Cycle: lambda e, _: cycle_triple(e.n),
+    dsl.Star: lambda e, _: star_triple(e.n),
+    dsl.Path: lambda e, _: path_triple(e.n),
+    dsl.Mesh: lambda e, _: mesh_triple(e.dims),
+    dsl.Tree: lambda e, _: tree_triple(e.arity, e.depth),
+    dsl.Wedge: lambda _, parts: wedge_triple(parts),
+    dsl.RootedProduct: lambda _, gh: rooted_product_triple(*gh),
+    dsl.Power: lambda e, base: power_triple(base[0], e.exponent),
+    dsl.Attach: lambda _, child: attach_root_triple(child[0]),
+}
+
+
 def evaluate_expr(expr: TopologyExpr) -> TransmissionTriple:
     """Bottom-up closed-form evaluation of a validated expression."""
     dsl.require_valid(expr)
-    return _evaluate(expr)
-
-
-def _evaluate(expr: TopologyExpr) -> TransmissionTriple:
-    if isinstance(expr, dsl.Complete):
-        return complete_triple(expr.n)
-    if isinstance(expr, dsl.Cycle):
-        return cycle_triple(expr.n)
-    if isinstance(expr, dsl.Star):
-        return star_triple(expr.n)
-    if isinstance(expr, dsl.Path):
-        return path_triple(expr.n)
-    if isinstance(expr, dsl.Mesh):
-        return mesh_triple(expr.dims)
-    if isinstance(expr, dsl.Tree):
-        return tree_triple(expr.arity, expr.depth)
-    if isinstance(expr, dsl.Wedge):
-        return wedge_triple([_evaluate(c) for c in expr.children])
-    if isinstance(expr, dsl.RootedProduct):
-        return rooted_product_triple(_evaluate(expr.left), _evaluate(expr.right))
-    if isinstance(expr, dsl.Power):
-        return power_triple(_evaluate(expr.base), expr.exponent)
-    if isinstance(expr, dsl.Attach):
-        return attach_root_triple(_evaluate(expr.child))
-    raise ValidationError(f"unknown expression node {expr!r}")
+    return dsl.fold(expr, _TRIPLE_OPS)

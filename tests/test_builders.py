@@ -7,7 +7,6 @@ import pytest
 from transmit.builders import (
     attach_root,
     build_expr,
-    build_primitive,
     complete_graph,
     cycle_graph,
     mesh_graph,
@@ -18,7 +17,19 @@ from transmit.builders import (
     tree_graph,
     wedge_graphs,
 )
-from transmit.dsl import estimated_size, parse
+from transmit.dsl import (
+    Complete,
+    Cycle,
+    Mesh,
+    Path,
+    Power,
+    RootedProduct,
+    Star,
+    Tree,
+    Wedge,
+    estimated_size,
+    parse,
+)
 from transmit.errors import ResourceLimitError, ValidationError
 from transmit.graph import (
     RootedGraph,
@@ -77,33 +88,16 @@ class TestPrimitives:
         assert g.edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
     def test_parameter_minimums(self):
-        with pytest.raises(ValidationError):
-            complete_graph(0)
-        with pytest.raises(ValidationError):
-            cycle_graph(2)
-        with pytest.raises(ValidationError):
-            star_graph(0)
-        with pytest.raises(ValidationError):
-            path_graph(0)
-        with pytest.raises(ValidationError):
-            mesh_graph((2, 0))
-        with pytest.raises(ValidationError):
-            tree_graph(0, 2)
+        # the minimums live in the node table and are enforced by build_expr
+        for bad in (Complete(0), Cycle(2), Star(0), Path(0), Mesh((2, 0)), Tree(0, 2)):
+            with pytest.raises(ValidationError):
+                build_expr(bad)
 
     def test_size_cap(self):
         with pytest.raises(ResourceLimitError):
-            complete_graph(10, max_vertices=9)
+            build_expr(Complete(10), max_vertices=9)
         with pytest.raises(ResourceLimitError):
-            tree_graph(2, 20, max_vertices=1000)
-
-    def test_dispatch(self):
-        assert build_primitive("complete", (3,)).vertex_count == 3
-        assert build_primitive("mesh", (2, 3)).vertex_count == 6
-        assert build_primitive("tree", (2, 2)).vertex_count == 7
-        with pytest.raises(ValidationError):
-            build_primitive("torus", (3,))
-        with pytest.raises(ValidationError):
-            build_primitive("tree", (2,))
+            build_expr(Tree(2, 20), max_vertices=1000)
 
 
 class TestWedge:
@@ -133,7 +127,7 @@ class TestWedge:
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            wedge_graphs([])
+            build_expr(Wedge(()))
 
 
 class TestRootedProduct:
@@ -155,7 +149,7 @@ class TestRootedProduct:
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
-            rooted_product_graphs(complete_graph(40), complete_graph(40), max_vertices=100)
+            build_expr(RootedProduct(Complete(40), Complete(40)), max_vertices=100)
 
 
 class TestAttachRoot:
@@ -191,7 +185,7 @@ class TestPower:
 
     def test_cap_checked_before_building(self):
         with pytest.raises(ResourceLimitError) as info:
-            power_graph(K2, 30, max_vertices=100_000)
+            build_expr(Power(Complete(2), 30), max_vertices=100_000)
         assert info.value.estimated_size == 2**30
 
 
@@ -209,6 +203,10 @@ class TestBuildExpr:
     def test_invalid_expression_rejected(self):
         with pytest.raises(ValidationError):
             build_expr(parse("cycle(2)"))
+
+    def test_no_per_builder_cap_below_the_requested_one(self):
+        g = build_expr(parse("path(100001)"), max_vertices=100_001)
+        assert g.vertex_count == 100_001
 
     def test_every_built_graph_is_connected_and_sized(self):
         for expr in random_expressions(40, seed=11, size_bound=80):

@@ -2,22 +2,45 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import transmit.cli
 from transmit.cli import main
-from transmit.formulas import power_coefficients, tree_triple
+from transmit.dsl import SPECS, render
+from transmit.formulas import path_triple, power_coefficients, tree_closed_forms
+
+from expr_strategies import expressions
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def digits_by_divmod(n: int, chunk: int = 1000) -> str:
+    """Decimal text of n >= 0 from fixed-width chunks, each short enough for str()."""
+    chunks = []
+    while n >= 10**chunk:
+        n, low = divmod(n, 10**chunk)
+        chunks.append(f"{low:0{chunk}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
+def test_digits_by_divmod():
+    for n in (0, 7, 10**6, 123_456_789_000_001, 10**2500 + 17):
+        assert digits_by_divmod(n, chunk=3) == str(n)
 
 
 class TestEval:
@@ -85,6 +108,41 @@ class TestEval:
         assert code == 1
         assert "cycle size must be >= 3" in err
 
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_integers_past_the_str_digit_limit(self, capsys, fmt):
+        delta, delta0, _ = tree_closed_forms(2, 10_000)
+        expected = [digits_by_divmod(n) for n in (2**10_001 - 1, delta, delta0)]
+        assert len(expected[1]) > sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "eval", "tree(2,10000)", "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "table":
+            cells = {line.split()[0]: line.split()[1] for line in out.splitlines()}
+            printed = [cells["size"], cells["delta"], cells["delta0"]]
+        elif fmt == "json":
+            payload = json.loads(out)
+            printed = [payload["size"], payload["delta"], payload["delta0"]]
+        else:
+            printed = list(csv.reader(io.StringIO(out)))[1][1:4]
+        assert printed == expected
+
+    def test_deep_attach_chain(self, capsys):
+        depth = 100_000
+        text = "attach(" * depth + "path(2)" + ")" * depth
+        code, out, err = run(capsys, "eval", text, "--format", "csv")
+        assert (code, err) == (0, "")
+        expected = path_triple(depth + 2)
+        printed = out.splitlines()[1].split(",")[1:4]  # the expression has no comma
+        assert printed == [str(expected.size), str(expected.delta), str(expected.delta0)]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["rprod(" * 3000 + "path(2)" + ",path(1))" * 3000, "wedge(" * 3000 + "path(2)" + ")" * 3000],
+        ids=["rprod", "wedge"],
+    )
+    def test_deep_combinator_chains(self, capsys, text):
+        code, out, err = run(capsys, "eval", text)
+        assert (code, err) == (0, "")
+
     def test_output_is_reproducible(self, capsys):
         first = run(capsys, "eval", "rprod(tree(2,2),cycle(5))", "--format", "json")
         second = run(capsys, "eval", "rprod(tree(2,2),cycle(5))", "--format", "json")
@@ -108,6 +166,14 @@ class TestVerify:
     def test_cap_is_configurable(self, capsys):
         code, _, _ = run(capsys, "verify", "mesh(40,50)", "--max-vertices", "2000")
         assert code == 0
+
+    @pytest.mark.parametrize("command", ["verify", "hist"])
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_is_usage_error(self, capsys, command, cap):
+        code, out, err = run(capsys, command, "star(3)", "--max-vertices", cap)
+        assert code == 1
+        assert out == ""
+        assert "--max-vertices" in err and "x>=1" in err
 
     def test_corrupted_formula_yields_mismatch(self, capsys, monkeypatch):
         real = transmit.cli.evaluate_expr
@@ -221,6 +287,11 @@ class TestHist:
         assert code == 3
         assert str(4**9) in err
 
+    def test_cap_message_prints_sizes_past_the_str_digit_limit(self, capsys):
+        code, out, err = run(capsys, "hist", "power(complete(10),5000)")
+        assert (code, out) == (3, "")
+        assert f"estimated size {digits_by_divmod(10**5000)} exceeds" in err
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):
@@ -247,3 +318,39 @@ def test_module_entry_point_runs_in_subprocess():
     assert result.returncode == 0
     # the expression cell is quoted because it contains commas
     assert result.stdout.splitlines()[1].startswith('"tree(2,2)",7,96,10')
+
+
+# Grammar tokens, single ASCII digits, and non-ASCII digits and spaces the
+# grammar must reject.
+FUZZ_TOKENS = [
+    *(spec.keyword for spec in SPECS.values()),
+    "(", ")", ",", " ",
+    *"0123456789",
+    "\u0663", "\xb2", "\u0967",  # ARABIC-INDIC THREE, SUPERSCRIPT TWO, DEVANAGARI ONE
+    "\xa0", "\u2003", "\u3000",  # NO-BREAK, EM and IDEOGRAPHIC SPACE
+]
+
+
+@st.composite
+def near_valid_texts(draw):
+    """A rendered expression with a stretch cut out and up to two tokens spliced in."""
+    text = render(draw(expressions()))
+    start = draw(st.integers(0, len(text)))
+    end = draw(st.integers(start, len(text)))
+    junk = draw(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=2))
+    return text[:start] + "".join(junk) + text[end:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=60),
+        st.lists(st.sampled_from(FUZZ_TOKENS), max_size=40).map("".join),
+        near_valid_texts(),
+    ).filter(lambda text: len(text) <= 60)
+)
+def test_eval_fuzz_exits_with_a_documented_code(text):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main(["eval", text])
+    assert code in (0, 1, 3)
+    assert "Traceback" not in err.getvalue()

@@ -17,6 +17,7 @@ from transmit.dsl import (
     Tree,
     Wedge,
     estimated_size,
+    fold,
     parse,
     render,
     validate,
@@ -77,6 +78,27 @@ class TestParse:
         with pytest.raises(TopologyParseError):
             parse("tr ee(2,2)")
 
+    @pytest.mark.parametrize(
+        "text, offset, found",
+        [
+            ("path(\u0663)", 6, "'\u0663'"),  # ARABIC-INDIC DIGIT THREE
+            ("path(\xa03)", 6, "'\\xa0'"),  # NO-BREAK SPACE
+            ("power(cycle(5),\xb2)", 16, "'\xb2'"),  # SUPERSCRIPT TWO
+        ],
+    )
+    def test_integers_and_spaces_are_ascii_only(self, text, offset, found):
+        with pytest.raises(TopologyParseError) as info:
+            parse(text)
+        assert info.value.byte_offset == offset
+        assert info.value.expected == "an integer"
+        assert info.value.found == found
+
+    def test_overlong_literal_is_a_parse_error_at_its_offset(self):
+        with pytest.raises(TopologyParseError) as info:
+            parse("path( " + "1" * 5000 + ")")
+        assert info.value.byte_offset == 7
+        assert info.value.found == "5000 digits"
+
     def test_offset_stays_within_input_plus_one(self):
         for text in ("", "x", "cycle", "cycle(", "cycle(2", "cycle(2))"):
             with pytest.raises(TopologyParseError) as info:
@@ -105,6 +127,40 @@ class TestValidate:
 
     def test_mesh_dimension_checked(self):
         assert validate(Mesh((2, 0, 3))) == ["$: mesh dimension 1 must be >= 1"]
+
+
+class TestDeepNesting:
+    DEPTH = 20_000
+
+    def test_parse_render_size_validate_do_not_recurse(self):
+        text = "attach(" * self.DEPTH + "path(2)" + ")" * self.DEPTH
+        expr = parse(text)
+        assert estimated_size(expr) == self.DEPTH + 2
+        assert validate(expr) == []
+        assert render(expr) == text
+
+    def test_violation_path_is_spelled_out_in_full(self):
+        expr = parse("attach(" * 3000 + "cycle(2)" + ")" * 3000)
+        assert validate(expr) == ["$" + ".child" * 3000 + ": cycle size must be >= 3"]
+
+    def test_fold_visits_children_first_in_field_order(self):
+        expr = parse("rprod(wedge(star(1),path(2)),power(cycle(3),2))")
+        seen = []
+
+        def record(node, values):
+            seen.append((type(node).__name__, tuple(values)))
+            return type(node).__name__
+
+        ops = dict.fromkeys((Star, Path, Wedge, Cycle, Power, RootedProduct), record)
+        assert fold(expr, ops) == "RootedProduct"
+        assert seen == [
+            ("Star", ()),
+            ("Path", ()),
+            ("Wedge", ("Star", "Path")),
+            ("Cycle", ()),
+            ("Power", ("Cycle",)),
+            ("RootedProduct", ("Wedge", "Power")),
+        ]
 
 
 class TestEstimatedSize:

@@ -19,7 +19,7 @@ from transmit.builders import (
     tree_graph,
     wedge_graphs,
 )
-from transmit.dsl import parse
+from transmit.dsl import Complete, Cycle, Mesh, Path, Star, Wedge, parse
 from transmit.errors import InexactDivisionError, ValidationError
 from transmit.formulas import (
     SINGLE_VERTEX,
@@ -36,7 +36,6 @@ from transmit.formulas import (
     power_coefficients,
     power_coefficients_closed_form,
     power_triple,
-    primitive_triple,
     rooted_product_triple,
     star_triple,
     tree_closed_forms,
@@ -106,23 +105,11 @@ class TestPrimitiveTriples:
         for n in range(1, 12):
             assert mesh_triple((n,)) == path_triple(n)
 
-    def test_dispatch(self):
-        assert primitive_triple("star", (3,)) == star_triple(3)
-        assert primitive_triple("tree", (2, 2)) == tree_triple(2, 2)
-        with pytest.raises(ValidationError):
-            primitive_triple("torus", (3,))
-
     def test_range_checks(self):
-        for bad in (
-            lambda: complete_triple(0),
-            lambda: cycle_triple(2),
-            lambda: star_triple(0),
-            lambda: path_triple(0),
-            lambda: mesh_triple(()),
-            lambda: mesh_triple((2, 0)),
-        ):
+        # the minimums live in the node table and are enforced by evaluate_expr
+        for bad in (Complete(0), Cycle(2), Star(0), Path(0), Mesh(()), Mesh((2, 0))):
             with pytest.raises(ValidationError):
-                bad()
+                evaluate_expr(bad)
 
 
 class TestWedgeTriple:
@@ -146,7 +133,7 @@ class TestWedgeTriple:
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            wedge_triple([])
+            evaluate_expr(Wedge(()))
 
 
 class TestAttachRootTriple:
