@@ -79,6 +79,22 @@ class TestParse:
             parse("tr ee(2,2)")
 
     @pytest.mark.parametrize(
+        "text, offset, expected",
+        [
+            ("tree(2)", 7, '","'),
+            ("rprod(path(2))", 14, '","'),
+            ("tree(2,3,4)", 9, '")"'),
+            ("mesh(2,)", 8, "an integer"),
+            ("wedge(path(2),)", 15, "a topology keyword"),
+            ("power(path(2),)", 15, "an integer"),
+        ],
+    )
+    def test_argument_count_and_kind_follow_the_schema(self, text, offset, expected):
+        with pytest.raises(TopologyParseError) as info:
+            parse(text)
+        assert (info.value.byte_offset, info.value.expected) == (offset, expected)
+
+    @pytest.mark.parametrize(
         "text, offset, found",
         [
             ("path(\u0663)", 6, "'\u0663'"),  # ARABIC-INDIC DIGIT THREE
