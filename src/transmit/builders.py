@@ -71,13 +71,11 @@ def mesh_graph(dims: tuple[int, ...]) -> RootedGraph:
 
 def tree_graph(arity: int, depth: int) -> RootedGraph:
     """Perfect tree in breadth-first numbering: a^j vertices at depth j."""
-    size = depth + 1 if arity == 1 else (arity ** (depth + 1) - 1) // (arity - 1)
     edges = []
-    internal = depth if arity == 1 else (arity**depth - 1) // (arity - 1)
-    for parent in range(internal):
+    for parent in range(dsl.tree_size(arity, depth - 1)):  # the internal vertices
         for c in range(arity):
             edges.append((parent, parent * arity + 1 + c))
-    return graph_from_edges(size, edges, root=0)
+    return graph_from_edges(dsl.tree_size(arity, depth), edges, root=0)
 
 
 def wedge_graphs(parts: list[RootedGraph]) -> RootedGraph:

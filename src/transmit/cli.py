@@ -11,6 +11,7 @@ import csv as csv_module
 import decimal
 import io
 import json
+import sys
 from fractions import Fraction
 
 import click
@@ -34,6 +35,11 @@ from .graph import (
 from .metrics import TopologyReport, compare_rank, summarize
 
 FORMATS = ("table", "json", "csv")
+
+# Every click.echo below names its stream. Without ``file``, click looks
+# sys.stdout/sys.stderr up in a weak-keyed cache that holds the stream as
+# its own value, so a stream redirected by an in-process caller (an
+# io.StringIO under redirect_stdout) would never be freed.
 
 _format_option = click.option(
     "--format",
@@ -99,14 +105,14 @@ def _echo_table(rows: list[tuple[str, ...]]) -> None:
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     for row in rows:
         line = "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
-        click.echo(line.rstrip())
+        click.echo(line.rstrip(), file=sys.stdout)
 
 
 def _echo_csv(rows: list[tuple[str, ...]]) -> None:
     buffer = io.StringIO()
     writer = csv_module.writer(buffer, lineterminator="\n")
     writer.writerows(rows)
-    click.echo(buffer.getvalue(), nl=False)
+    click.echo(buffer.getvalue(), nl=False, file=sys.stdout)
 
 
 def _report_json(report: TopologyReport) -> dict:
@@ -158,7 +164,7 @@ def eval_cmd(expr_text: str, rate: str | None, time_: str | None, fmt: str) -> i
         _parse_fraction(time_, "--time") if time_ is not None else None,
     )
     if fmt == "json":
-        click.echo(json.dumps(_report_json(report), indent=2))
+        click.echo(json.dumps(_report_json(report), indent=2), file=sys.stdout)
     elif fmt == "csv":
         header = ("expr", "size", "delta", "delta0", "mean_all", "mean_distinct", "expected_messages")
         row = (
@@ -198,9 +204,9 @@ def verify(expr_text: str, max_vertices: int) -> int:
     ]
     _echo_table(rows)
     if closed == oracle:
-        click.echo("PASS")
+        click.echo("PASS", file=sys.stdout)
         return 0
-    click.echo("MISMATCH")
+    click.echo("MISMATCH", file=sys.stdout)
     return 2
 
 
@@ -234,7 +240,7 @@ def compare(expr_texts: tuple[str, ...], sort_key: str, fmt: str) -> int:
                 dict(rank=decimal_text(i + 1), **_report_json(r)) for i, r in enumerate(ranked)
             ],
         }
-        click.echo(json.dumps(payload, indent=2))
+        click.echo(json.dumps(payload, indent=2), file=sys.stdout)
         return 0
     header = ("rank", "expr", "size", "delta", "delta0", "mean_distinct")
     rows = [header]
@@ -262,15 +268,15 @@ def compare(expr_texts: tuple[str, ...], sort_key: str, fmt: str) -> int:
 @click.option("--terms", type=int, required=True, help="Number of coefficients (>= 1).")
 @_format_option
 def series(arity: int, terms: int, fmt: str) -> int:
-    """Generating-series coefficients vs the tree recurrence (self-test)."""
+    """Generating-series coefficients vs the tree closed form (self-test)."""
     coefficients = gf_series(arity, terms)
     rows = []
     all_match = True
     for k, coefficient in enumerate(coefficients.terms):
-        recurrence = tree_triple(arity, k + 1).delta
-        match = coefficient == recurrence
+        tree_delta = tree_triple(arity, k + 1).delta
+        match = coefficient == tree_delta
         all_match = all_match and match
-        rows.append((k, coefficient, recurrence, match))
+        rows.append((k, coefficient, tree_delta, match))
 
     if fmt == "json":
         payload = {
@@ -285,7 +291,7 @@ def series(arity: int, terms: int, fmt: str) -> int:
                 for k, c, r, m in rows
             ],
         }
-        click.echo(json.dumps(payload, indent=2))
+        click.echo(json.dumps(payload, indent=2), file=sys.stdout)
     else:
         text_rows = [("k", "coefficient", "tree_delta", "match")]
         for k, c, r, m in rows:
@@ -317,7 +323,7 @@ def hist(expr_text: str, max_vertices: int, fmt: str) -> int:
             },
             "delta": decimal_text(delta),
         }
-        click.echo(json.dumps(payload, indent=2))
+        click.echo(json.dumps(payload, indent=2), file=sys.stdout)
         return 0
     rows = [("distance", "pairs")]
     for d, c in sorted(histogram.counts.items()):
@@ -337,22 +343,22 @@ def main(argv: list[str] | None = None) -> int:
     except click.exceptions.Exit as exc:
         return exc.exit_code
     except click.exceptions.NoArgsIsHelpError as exc:
-        click.echo(exc.format_message())
+        click.echo(exc.format_message(), file=sys.stdout)
         return 0
     except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+        click.echo(f"error: {exc.format_message()}", file=sys.stderr)
         return 1
     except TopologyParseError as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceLimitError as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {exc}", file=sys.stderr)
         return 3
     except TransmitError as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {exc}", file=sys.stderr)
         return 1
     except click.exceptions.Abort:
-        click.echo("aborted", err=True)
+        click.echo("aborted", file=sys.stderr)
         return 1
     return result if isinstance(result, int) else 0
 

@@ -133,10 +133,15 @@ class Spec:
     size: Callable[[Any, list[int]], int]
 
 
-def _tree_size(e: Tree, _) -> int:
-    if e.arity == 1:
-        return e.depth + 1
-    return (e.arity ** (e.depth + 1) - 1) // (e.arity - 1)
+def tree_size(arity: int, depth: int) -> int:
+    """Vertex count of the perfect tree, ``1 + a + ... + a^depth``.
+
+    At depth -1 this is 0, which makes ``tree_size(arity, depth - 1)`` the
+    number of internal vertices at every depth.
+    """
+    if arity == 1:
+        return depth + 1
+    return (arity ** (depth + 1) - 1) // (arity - 1)
 
 
 SPECS: dict[type, Spec] = {
@@ -146,7 +151,7 @@ SPECS: dict[type, Spec] = {
     Star: Spec("star", (Arg(INT, "leaf count", 1),), lambda e, _: e.n + 1),
     Path: Spec("path", (Arg(INT, "size", 1),), lambda e, _: e.n),
     Mesh: Spec("mesh", (Arg(INTS, "dimension", 1),), lambda e, _: math.prod(e.dims)),
-    Tree: Spec("tree", (Arg(INT, "arity", 1), Arg(INT, "depth", 0)), _tree_size),
+    Tree: Spec("tree", (Arg(INT, "arity", 1), Arg(INT, "depth", 0)), lambda e, _: tree_size(e.arity, e.depth)),
     Wedge: Spec("wedge", (Arg(EXPRS, "child"),), lambda _, s: sum(s) - (len(s) - 1)),
     RootedProduct: Spec("rprod", (Arg(EXPR), Arg(EXPR)), lambda _, s: s[0] * s[1]),
     Power: Spec("power", (Arg(EXPR), Arg(INT, "exponent", 1)), lambda e, s: s[0] ** e.exponent),

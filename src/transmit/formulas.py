@@ -6,11 +6,12 @@ vertex pairs) and the root transmission delta0 (sum of distances from the
 root). No graph is ever materialized here, so these scale far beyond what
 the BFS oracle can check directly.
 
-Recurrences are the authoritative computation path for trees and power
-coefficients because they are integer-only and defined at arity 1; the
-matching closed forms (which divide by powers of n - 1) are exposed
-separately as cross-checks for n >= 2. Every division is asserted exact:
-a remainder means a formula was transcribed wrong, never a rounding issue.
+Trees and powers are computed by the paper's closed forms, a fixed number
+of big-integer operations whatever the depth or exponent. Those forms
+divide by powers of n - 1, so a unary tree (a path) and a power of one
+vertex (that vertex) take their own exact forms. The level and exponent
+recurrences are kept in the test suite as an independent reference. Every division is asserted exact: a
+remainder means a formula was transcribed wrong, never a rounding issue.
 """
 
 from __future__ import annotations
@@ -64,9 +65,6 @@ class TransmissionTriple:
             raise ValidationError(
                 f"delta0 {self.delta0} below size - 1 = {self.size - 1}"
             )
-
-
-SINGLE_VERTEX = TransmissionTriple(1, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -170,78 +168,39 @@ def rooted_product_triple(
 
 
 def tree_triple(arity: int, depth: int) -> TransmissionTriple:
-    """Perfect tree, by iterating the level recurrence from a single vertex.
+    """Perfect tree, by the closed forms for delta and delta0.
 
-    Each level wedges ``arity`` pendant-rooted copies of the previous tree;
-    this is integer-only and valid for arity 1 (a path) as well.
+    Both divide by (arity - 1)^2, so arity 1 takes its own exact form: the
+    unary tree of depth d is the path of d + 1 vertices.
     """
-    t = SINGLE_VERTEX
-    for _ in range(depth):
-        t = wedge_triple([attach_root_triple(t)] * arity)
-    return t
-
-
-def tree_closed_forms(arity: int, depth: int) -> tuple[int, int, int]:
-    """Closed forms for the perfect tree: (delta, delta0, delta0 of the
-    pendant-rooted tree).
-
-    Only defined for arity >= 2; the denominators vanish at arity 1, where
-    :func:`tree_triple` remains the computation path.
-    """
-    if arity < 2:
-        raise ValidationError(
-            f"closed forms divide by (arity - 1)^2, need arity >= 2, got {arity}"
-        )
-    if depth < 0:
-        raise ValidationError(f"tree depth must be >= 0, got {depth}")
+    if arity == 1:
+        return path_triple(depth + 1)
     n, k = arity, depth
     den = (n - 1) ** 2
-    geometric = exact_div(n**k - 1, n - 1)
-    delta = exact_div(2 * n ** (k + 1) * (k * n ** (k + 1) + k - 2 * n * geometric), den)
-    delta0 = exact_div(k * n ** (k + 2) - (k + 1) * n ** (k + 1) + n, den)
-    delta0_attached = exact_div((k + 1) * n ** (k + 2) - (k + 2) * n ** (k + 1) + 1, den)
-    return delta, delta0, delta0_attached
-
-
-def power_coefficients(n: int, k: int) -> tuple[int, int]:
-    """Coefficients (a_k, b_k) with delta(G^k) = a_k * delta + b_k * delta0,
-    where n = |G|.
-
-    Computed by the recurrence a_1 = 1, a_{k+1} = n^k + n^2 a_k and
-    b_1 = 0, b_{k+1} = 2 n^{k+1} (n^k - 1) + n^2 b_k, which is integer-only
-    and valid at n = 1.
-    """
-    if n < 1:
-        raise ValidationError(f"base size must be >= 1, got {n}")
-    if k < 1:
-        raise ValidationError(f"power exponent must be >= 1, got {k}")
-    a, b = 1, 0
-    for j in range(1, k):
-        a = n**j + n**2 * a
-        b = 2 * n ** (j + 1) * (n**j - 1) + n**2 * b
-    return a, b
-
-
-def power_coefficients_closed_form(n: int, k: int) -> tuple[int, int]:
-    """Closed forms for (a_k, b_k); requires n >= 2 (they divide by n - 1)."""
-    if n < 2:
-        raise ValidationError(
-            f"closed forms divide by n - 1, need n >= 2, got {n}"
-        )
-    if k < 1:
-        raise ValidationError(f"power exponent must be >= 1, got {k}")
-    a = n ** (k - 1) * exact_div(n**k - 1, n - 1)
-    b = 2 * (k - 1) * n ** (2 * k - 1) - 2 * n**k * exact_div(n ** (k - 1) - 1, n - 1)
-    return a, b
+    top = n ** (k + 1)  # the leaf count times n
+    internal = dsl.tree_size(n, k - 1)
+    delta = exact_div(2 * top * (k * top + k - 2 * n * internal), den)
+    delta0 = exact_div(k * n * top - (k + 1) * top + n, den)
+    return TransmissionTriple(dsl.tree_size(n, k), delta, delta0)
 
 
 def power_triple(base: TransmissionTriple, k: int) -> TransmissionTriple:
-    """k-fold rooted product of a graph with itself."""
+    """k-fold rooted product of a graph with itself.
+
+    With n = |G|, delta(G^k) = a_k * delta + b_k * delta0 for the closed-form
+    coefficients a_k = n^(k-1) (n^k - 1)/(n - 1) and
+    b_k = 2 (k - 1) n^(2k-1) - 2 n^k (n^(k-1) - 1)/(n - 1). They divide by
+    n - 1, so a one-vertex base takes its own exact form: it is its own power.
+    """
     n = base.size
-    a, b = power_coefficients(n, k)
-    size = n**k
+    if n == 1:
+        return base
+    below = n ** (k - 1)
+    size = below * n
+    a = below * exact_div(size - 1, n - 1)
+    b = 2 * (k - 1) * below * size - 2 * size * exact_div(below - 1, n - 1)
     delta = a * base.delta + b * base.delta0
-    delta0 = k * n ** (k - 1) * base.delta0
+    delta0 = k * below * base.delta0
     return TransmissionTriple(size, delta, delta0)
 
 

@@ -19,12 +19,11 @@ from transmit.builders import build_expr, complete_graph, mesh_graph, power_grap
 from transmit.cli import main
 from transmit.dsl import estimated_size, parse, validate
 from transmit.formulas import (
-    attach_root_triple,
+    complete_triple,
     evaluate_expr,
     gf_series,
-    power_coefficients,
-    power_coefficients_closed_form,
-    tree_closed_forms,
+    path_triple,
+    power_triple,
     tree_triple,
     wedge_triple,
 )
@@ -32,6 +31,7 @@ from transmit.metrics import summarize
 
 from expr_corpus import PROPERTY_COUNT, PROPERTY_SEED, oracle_corpus, random_expressions
 from oracle_util import oracle_triple
+from recurrences import power_coefficients, power_recurrence, tree_recurrence
 
 
 def _report(name: str, failures: list[str], extra: str = "") -> None:
@@ -71,10 +71,10 @@ def test_criterion_1_oracle_formula_equivalence_corpus():
 def test_criterion_2_binary_tree_identity():
     failures = []
     for k in range(17):
-        recurrence = tree_triple(2, k).delta
-        closed = 2 ** (k + 2) * ((k - 2) * 2 ** (k + 1) + k + 4)
-        if recurrence != closed:
-            failures.append(f"depth {k}: {recurrence} != {closed}")
+        identity = 2 ** (k + 2) * ((k - 2) * 2 ** (k + 1) + k + 4)
+        for route, triple in (("recurrence", tree_recurrence(2, k)), ("closed form", tree_triple(2, k))):
+            if triple.delta != identity:
+                failures.append(f"depth {k}: {route} {triple.delta} != {identity}")
     _report("criterion 2: binary-tree closed form, depth 0..16", failures)
 
 
@@ -83,7 +83,7 @@ def test_criterion_3_generating_function_check():
     for n in range(2, 7):
         series = gf_series(n, 8)
         for k, coefficient in enumerate(series.terms):
-            recurrence = tree_triple(n, k + 1).delta
+            recurrence = tree_recurrence(n, k + 1).delta
             if coefficient != recurrence:
                 failures.append(f"n={n} k={k}: {coefficient} != {recurrence}")
     _report("criterion 3: series coefficients vs recurrence, n=2..6", failures)
@@ -95,11 +95,13 @@ def test_criterion_4_polynomial_consistency():
         if power_coefficients(n, 1) != (1, 0):
             failures.append(f"n={n}: first coefficients {power_coefficients(n, 1)}")
     for n in range(2, 11):
-        for k in range(1, 13):
-            recurrence = power_coefficients(n, k)
-            closed = power_coefficients_closed_form(n, k)
-            if recurrence != closed:
-                failures.append(f"n={n} k={k}: {recurrence} != {closed}")
+        # complete(n) and path(n) pin down both coefficients for n >= 3
+        for base in (complete_triple(n), path_triple(n)):
+            for k in range(1, 13):
+                recurrence = power_recurrence(base, k)
+                closed = power_triple(base, k)
+                if recurrence != closed:
+                    failures.append(f"n={n} k={k}: {recurrence} != {closed}")
     _report("criterion 4: power coefficients recurrence vs closed form", failures)
 
 
@@ -107,12 +109,10 @@ def test_criterion_5_tree_closed_form_vs_recurrence():
     failures = []
     for n in range(2, 7):
         for k in range(0, 9):
-            triple = tree_triple(n, k)
-            delta, delta0, delta0_attached = tree_closed_forms(n, k)
-            if (delta, delta0) != (triple.delta, triple.delta0):
-                failures.append(f"n={n} k={k}: ({delta},{delta0}) != {triple}")
-            if delta0_attached != attach_root_triple(triple).delta0:
-                failures.append(f"n={n} k={k}: attached delta0 {delta0_attached}")
+            recurrence = tree_recurrence(n, k)
+            closed = tree_triple(n, k)
+            if closed != recurrence:
+                failures.append(f"n={n} k={k}: {closed} != {recurrence}")
     _report("criterion 5: tree closed forms vs recurrence, n=2..6 k=0..8", failures)
 
 

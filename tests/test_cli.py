@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import subprocess
 import sys
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
@@ -17,9 +19,10 @@ from hypothesis import strategies as st
 import transmit.cli
 from transmit.cli import main
 from transmit.dsl import SPECS, render
-from transmit.formulas import path_triple, power_coefficients, tree_closed_forms
+from transmit.formulas import path_triple
 
 from expr_strategies import expressions
+from recurrences import power_coefficients, tree_recurrence
 
 
 def run(capsys, *argv):
@@ -36,6 +39,12 @@ def digits_by_divmod(n: int, chunk: int = 1000) -> str:
         chunks.append(f"{low:0{chunk}d}")
     chunks.append(str(n))
     return "".join(reversed(chunks))
+
+
+@pytest.fixture(scope="module")
+def binary_tree_10000():
+    """The depth-10000 binary tree by the reference recurrence (about 1 s)."""
+    return tree_recurrence(2, 10_000)
 
 
 def test_digits_by_divmod():
@@ -109,9 +118,9 @@ class TestEval:
         assert "cycle size must be >= 3" in err
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
-    def test_integers_past_the_str_digit_limit(self, capsys, fmt):
-        delta, delta0, _ = tree_closed_forms(2, 10_000)
-        expected = [digits_by_divmod(n) for n in (2**10_001 - 1, delta, delta0)]
+    def test_integers_past_the_str_digit_limit(self, capsys, fmt, binary_tree_10000):
+        t = binary_tree_10000
+        expected = [digits_by_divmod(n) for n in (t.size, t.delta, t.delta0)]
         assert len(expected[1]) > sys.get_int_max_str_digits()
         code, out, err = run(capsys, "eval", "tree(2,10000)", "--format", fmt)
         assert (code, err) == (0, "")
@@ -124,6 +133,13 @@ class TestEval:
         else:
             printed = list(csv.reader(io.StringIO(out)))[1][1:4]
         assert printed == expected
+
+    def test_deep_tree_matches_the_recurrence(self, capsys):
+        code, out, err = run(capsys, "eval", "tree(3,3000)", "--format", "csv")
+        assert (code, err) == (0, "")
+        expected = tree_recurrence(3, 3000)
+        printed = next(csv.reader(io.StringIO(out.splitlines()[1])))[1:4]
+        assert printed == [digits_by_divmod(n) for n in (expected.size, expected.delta, expected.delta0)]
 
     def test_deep_attach_chain(self, capsys):
         depth = 100_000
@@ -162,6 +178,14 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert str(2**30) in err
+
+    def test_huge_tree_hits_the_cap(self, capsys):
+        # the closed form makes evaluating a depth-200000 tree cheap, so the
+        # cap check is reached at once
+        code, out, err = run(capsys, "verify", "tree(2,200000)")
+        assert (code, out) == (3, "")
+        size = digits_by_divmod(2**200_001 - 1)
+        assert err == f"error: estimated size {size} exceeds the vertex cap of 100000\n"
 
     def test_cap_is_configurable(self, capsys):
         code, _, _ = run(capsys, "verify", "mesh(40,50)", "--max-vertices", "2000")
@@ -307,6 +331,19 @@ class TestUsage:
     def test_unknown_format(self, capsys):
         code, _, err = run(capsys, "eval", "star(2)", "--format", "xml")
         assert code == 1
+
+
+def test_redirected_streams_are_not_kept_alive():
+    refs = []
+    for argv in (["eval", "path(2)"], ["eval", "bogus("]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            main(argv)
+        assert (out.getvalue() == "") != (err.getvalue() == "")  # each call wrote to one stream
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_module_entry_point_runs_in_subprocess():

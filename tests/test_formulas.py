@@ -22,7 +22,6 @@ from transmit.builders import (
 from transmit.dsl import Complete, Cycle, Mesh, Path, Star, Wedge, parse
 from transmit.errors import InexactDivisionError, ValidationError
 from transmit.formulas import (
-    SINGLE_VERTEX,
     SeriesTerms,
     TransmissionTriple,
     attach_root_triple,
@@ -33,12 +32,9 @@ from transmit.formulas import (
     gf_series,
     mesh_triple,
     path_triple,
-    power_coefficients,
-    power_coefficients_closed_form,
     power_triple,
     rooted_product_triple,
     star_triple,
-    tree_closed_forms,
     tree_triple,
     wedge_triple,
 )
@@ -46,6 +42,7 @@ from transmit.formulas import (
 from expr_corpus import random_expressions
 from expr_strategies import buildable_expressions
 from oracle_util import oracle_triple
+from recurrences import SINGLE_VERTEX, power_coefficients, power_recurrence, tree_recurrence
 
 EDGE = TransmissionTriple(2, 2, 1)
 
@@ -184,6 +181,7 @@ class TestTreeTriple:
         assert tree_triple(1, 3) == TransmissionTriple(4, 20, 6)
         for depth in range(12):
             assert tree_triple(1, depth) == path_triple(depth + 1)
+            assert tree_recurrence(1, depth) == path_triple(depth + 1)
 
     def test_ternary_depth_two(self):
         assert tree_triple(3, 2) == oracle_triple(tree_graph(3, 2))
@@ -192,20 +190,14 @@ class TestTreeTriple:
 
 class TestTreeClosedForms:
     def test_binary_depth_two(self):
-        assert tree_closed_forms(2, 2) == (96, 10, 17)
+        t = tree_triple(2, 2)
+        assert (t.delta, t.delta0, attach_root_triple(t).delta0) == (96, 10, 17)
 
     def test_matches_recurrence_componentwise(self):
-        for n in range(2, 7):
-            for k in range(0, 9):
-                t = tree_triple(n, k)
-                delta, delta0, delta0_attached = tree_closed_forms(n, k)
-                assert delta == t.delta
-                assert delta0 == t.delta0
-                assert delta0_attached == attach_root_triple(t).delta0
-
-    def test_arity_one_rejected(self):
-        with pytest.raises(ValidationError):
-            tree_closed_forms(1, 3)
+        cases = [(n, k) for n in range(1, 7) for k in range(0, 9)]
+        cases += [(n, k) for n in (2, 3) for k in (20, 100, 299, 300)]
+        for n, k in cases:
+            assert tree_triple(n, k) == tree_recurrence(n, k)
 
 
 class TestPowerCoefficients:
@@ -218,18 +210,18 @@ class TestPowerCoefficients:
         assert power_coefficients(2, 3) == (28, 80)
 
     def test_closed_form_matches_recurrence(self):
+        # for n >= 3 two of these bases have independent (delta, delta0),
+        # so agreement on both pins down each coefficient
         for n in range(2, 11):
-            for k in range(1, 13):
-                assert power_coefficients(n, k) == power_coefficients_closed_form(n, k)
-
-    def test_closed_form_needs_n_at_least_two(self):
-        with pytest.raises(ValidationError):
-            power_coefficients_closed_form(1, 3)
+            for base in (complete_triple(n), path_triple(n), star_triple(n - 1)):
+                for k in range(1, 41):
+                    assert power_triple(base, k) == power_recurrence(base, k)
 
     def test_degenerate_base_keeps_transmissions_zero(self):
         # |G| = 1 forces delta = delta0 = 0, so any coefficients are harmless;
         # the recurrence gives a_k = k, b_k = 0.
         assert power_coefficients(1, 5) == (5, 0)
+        assert power_recurrence(SINGLE_VERTEX, 5) == SINGLE_VERTEX
         assert power_triple(SINGLE_VERTEX, 5) == SINGLE_VERTEX
 
 
@@ -267,6 +259,7 @@ class TestSeries:
         for n in range(2, 7):
             series = gf_series(n, 8)
             for k, coefficient in enumerate(series.terms):
+                assert coefficient == tree_recurrence(n, k + 1).delta
                 assert coefficient == tree_triple(n, k + 1).delta
 
     def test_parameter_ranges(self):
