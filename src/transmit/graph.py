@@ -3,6 +3,12 @@
 Everything here is deliberately simple: the BFS oracle is the independent
 check for every closed-form transmission formula, so it must stay obviously
 correct. Graphs are immutable after construction and safe to share.
+
+Costs: validating a graph is O(V+E) time and O(V) extra memory. One BFS
+is O(V+E) and stops at the end of the first level after which every vertex
+is reached, so on a complete graph it scans one row. The transmission and
+histogram functions read connectivity off the distances they compute
+anyway and run no BFS beyond one per source.
 """
 
 from __future__ import annotations
@@ -53,9 +59,25 @@ class RootedGraph:
                         f"adjacency[{i}] is not strictly increasing"
                     )
                 prev = j
-        for i, row in enumerate(self.adjacency):
-            for j in row:
-                if i not in self.adjacency[j]:
+        # Symmetry in one pass with O(V) memory: rows are strictly increasing
+        # and visited in increasing i, so the rows below j that list j must
+        # arrive in the order of row j's entries below j. matched[j] counts
+        # those that have; when row i's turn comes, its first matched[i]
+        # entries are accounted for and the rest must lie above i.
+        adjacency = self.adjacency
+        matched = [0] * n
+        for i, row in enumerate(adjacency):
+            m = matched[i]
+            if m < len(row) and row[m] < i:
+                raise ValidationError(f"edge {i}-{row[m]} is not symmetric")
+            for j in row[m:]:
+                back = adjacency[j]
+                k = matched[j]
+                if k < len(back) and back[k] == i:
+                    matched[j] = k + 1
+                elif k < len(back) and back[k] < i:
+                    raise ValidationError(f"edge {j}-{back[k]} is not symmetric")
+                else:
                     raise ValidationError(f"edge {i}-{j} is not symmetric")
 
     @property
@@ -96,7 +118,11 @@ class DistanceHistogram:
 
 
 def bfs_distances(g: RootedGraph, source: int) -> list[int]:
-    """Hop count from ``source`` to every vertex (UNREACHABLE if none)."""
+    """Hop count from ``source`` to every vertex (UNREACHABLE if none).
+
+    Stops after the first level that leaves no vertex unreached, so on a
+    dense graph the last levels never scan their neighbors.
+    """
     if not 0 <= source < g.vertex_count:
         raise ValidationError(
             f"source {source} out of range 0..{g.vertex_count - 1}"
@@ -105,8 +131,9 @@ def bfs_distances(g: RootedGraph, source: int) -> list[int]:
     dist[source] = 0
     adjacency = g.adjacency
     frontier = [source]
+    unreached = g.vertex_count - 1
     depth = 0
-    while frontier:
+    while frontier and unreached:
         depth += 1
         next_frontier = []
         for v in frontier:
@@ -114,6 +141,7 @@ def bfs_distances(g: RootedGraph, source: int) -> list[int]:
                 if dist[w] < 0:
                     dist[w] = depth
                     next_frontier.append(w)
+        unreached -= len(next_frontier)
         frontier = next_frontier
     return dist
 
@@ -123,11 +151,14 @@ def is_connected(g: RootedGraph) -> bool:
     return UNREACHABLE not in bfs_distances(g, 0)
 
 
-def _require_connected(g: RootedGraph) -> None:
-    if not is_connected(g):
+def _connected_distances(g: RootedGraph, source: int) -> list[int]:
+    """``bfs_distances`` from ``source``, refusing a disconnected graph."""
+    dist = bfs_distances(g, source)
+    if UNREACHABLE in dist:
         raise ConnectivityError(
             "graph is disconnected; transmission is undefined"
         )
+    return dist
 
 
 def _check_cap(g: RootedGraph, max_vertices: int) -> None:
@@ -137,8 +168,7 @@ def _check_cap(g: RootedGraph, max_vertices: int) -> None:
 
 def vertex_transmission(g: RootedGraph, v: int) -> int:
     """Sum of hop distances from ``v`` to every vertex."""
-    _require_connected(g)
-    return sum(bfs_distances(g, v))
+    return sum(_connected_distances(g, v))
 
 
 def root_transmission(g: RootedGraph) -> int:
@@ -153,9 +183,10 @@ def graph_transmission(g: RootedGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -
     work is quadratic.
     """
     _check_cap(g, max_vertices)
-    _require_connected(g)
-    total = 0
-    for source in range(g.vertex_count):
+    # One BFS decides whether an undirected graph is connected, so only
+    # the first source's distances are checked.
+    total = sum(_connected_distances(g, 0))
+    for source in range(1, g.vertex_count):
         total += sum(bfs_distances(g, source))
     return total
 
@@ -165,8 +196,7 @@ def distance_histogram(
 ) -> DistanceHistogram:
     """Count ordered vertex pairs by hop distance."""
     _check_cap(g, max_vertices)
-    _require_connected(g)
-    counts: Counter[int] = Counter()
-    for source in range(g.vertex_count):
+    counts = Counter(_connected_distances(g, 0))
+    for source in range(1, g.vertex_count):
         counts.update(bfs_distances(g, source))
     return DistanceHistogram(dict(sorted(counts.items())))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from transmit.formulas import TransmissionTriple
-from transmit.graph import RootedGraph, graph_transmission, root_transmission
+from transmit.graph import UNREACHABLE, RootedGraph, graph_transmission, root_transmission
 
 
 def oracle_triple(g: RootedGraph, max_vertices: int = 100_000) -> TransmissionTriple:
@@ -13,6 +13,28 @@ def oracle_triple(g: RootedGraph, max_vertices: int = 100_000) -> TransmissionTr
         graph_transmission(g, max_vertices),
         root_transmission(g),
     )
+
+
+def reference_bfs_distances(g: RootedGraph, source: int) -> list[int]:
+    """Per-source BFS that scans every level until the frontier empties.
+
+    The plain loop the package's early-stopping ``bfs_distances`` must agree
+    with, on connected and disconnected graphs alike.
+    """
+    dist = [UNREACHABLE] * g.vertex_count
+    dist[source] = 0
+    frontier = [source]
+    depth = 0
+    while frontier:
+        depth += 1
+        next_frontier = []
+        for v in frontier:
+            for w in g.adjacency[v]:
+                if dist[w] < 0:
+                    dist[w] = depth
+                    next_frontier.append(w)
+        frontier = next_frontier
+    return dist
 
 
 def floyd_warshall(g: RootedGraph) -> list[list[float]]:

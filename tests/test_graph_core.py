@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import transmit.graph
 from transmit.builders import build_expr, complete_graph, path_graph, star_graph, tree_graph
+from transmit.cli import main
+from transmit.dsl import estimated_size, parse
 from transmit.errors import ConnectivityError, ResourceLimitError, ValidationError
 from transmit.graph import (
     UNREACHABLE,
@@ -21,17 +24,63 @@ from transmit.graph import (
     vertex_transmission,
 )
 
+from expr_corpus import oracle_corpus
 from expr_strategies import buildable_expressions
-from oracle_util import floyd_warshall
+from oracle_util import floyd_warshall, reference_bfs_distances
 
 SINGLE = RootedGraph(1, ((),), 0)
 TWO_ISOLATED = RootedGraph(2, ((), ()), 0)
+
+
+@st.composite
+def edge_lists(draw, max_vertices: int = 24):
+    """(vertex count, edges): sparse enough to leave isolated vertices and
+    several components, dense enough to give cliques."""
+    n = draw(st.integers(1, max_vertices))
+    vertex = st.integers(0, n - 1)
+    pairs = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=n * (n - 1) // 2)) if n > 1 else []
+    return n, edges
+
+
+def _without(adjacency, vertex, neighbor):
+    """``adjacency`` with ``neighbor`` dropped from the row of ``vertex``."""
+    rows = list(adjacency)
+    rows[vertex] = tuple(w for w in rows[vertex] if w != neighbor)
+    return tuple(rows)
 
 
 class TestRootedGraphInvariants:
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(ValidationError, match="symmetric"):
             RootedGraph(2, ((1,), ()), 0)
+
+    def test_rejects_back_edge_missing_mid_row(self):
+        with pytest.raises(ValidationError, match="^edge 0-2 is not symmetric$"):
+            RootedGraph(4, ((1, 2, 3), (0,), (), (0,)), 0)
+
+    def test_rejects_row_entry_skipped_by_a_later_vertex(self):
+        # row 3 holds 1, which row 1 does not list; found while matching 2
+        with pytest.raises(ValidationError, match="^edge 3-1 is not symmetric$"):
+            RootedGraph(4, ((), (), (3,), (1, 2)), 0)
+
+    @pytest.mark.parametrize(
+        "adjacency, edge",
+        [(((), (0,)), "1-0"), (((1,), (0,), (0,)), "2-0")],
+    )
+    def test_rejects_row_entry_no_row_lists(self, adjacency, edge):
+        # row 0 does not list the last vertex, and no row between them lists
+        # it either, so only the check at the start of the last row sees it
+        with pytest.raises(ValidationError, match=f"^edge {edge} is not symmetric$"):
+            RootedGraph(len(adjacency), adjacency, 0)
+
+    @pytest.mark.parametrize("vertex, neighbor", [(143, 57), (57, 143)])
+    def test_rejects_complete_graph_missing_one_back_edge(self, vertex, neighbor):
+        adjacency = _without(complete_graph(200).adjacency, vertex, neighbor)
+        with pytest.raises(
+            ValidationError, match=f"^edge {neighbor}-{vertex} is not symmetric$"
+        ):
+            RootedGraph(200, adjacency, 0)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValidationError, match="self-loop"):
@@ -55,7 +104,42 @@ class TestRootedGraphInvariants:
         assert g.edges() == [(0, 1), (0, 2)]
 
 
+@settings(max_examples=80, deadline=None)
+@given(edge_lists(), st.data())
+def test_symmetry_check_names_the_one_missing_back_edge(graph, data):
+    n, edges = graph
+    g = graph_from_edges(n, edges, root=0)
+    listings = [(a, b) for a in range(n) for b in g.adjacency[a]]
+    if not listings:
+        return
+    a, b = data.draw(st.sampled_from(listings))
+    with pytest.raises(ValidationError, match=f"^edge {a}-{b} is not symmetric$"):
+        RootedGraph(n, _without(g.adjacency, b, a), 0)
+
+
+class _CountingRows(tuple):
+    """Adjacency tuple that counts the rows a BFS looks up."""
+
+    lookups = 0
+
+    def __getitem__(self, index):
+        self.lookups += 1
+        return super().__getitem__(index)
+
+
 class TestBfsDistances:
+    def test_stops_once_every_vertex_is_reached(self):
+        for g, source, rows_scanned in (
+            (complete_graph(50), 7, 1),
+            (path_graph(5), 0, 4),
+            (star_graph(6), 0, 1),
+            (star_graph(6), 3, 2),
+        ):
+            counted = RootedGraph(g.vertex_count, _CountingRows(g.adjacency), g.root)
+            counted.adjacency.lookups = 0
+            assert bfs_distances(counted, source) == reference_bfs_distances(g, source)
+            assert counted.adjacency.lookups == rows_scanned
+
     def test_star_from_leaf(self):
         assert bfs_distances(star_graph(3), 1) == [1, 0, 2, 2]
 
@@ -88,12 +172,33 @@ class TestConnectivity:
         assert not is_connected(TWO_ISOLATED)
 
     def test_transmission_rejects_disconnected(self):
+        # path 0-1 plus an isolated vertex 2 that is the root
+        isolated_root = RootedGraph(3, ((1,), (0,), ()), 2)
+        for g in (TWO_ISOLATED, isolated_root):
+            with pytest.raises(ConnectivityError):
+                graph_transmission(g)
+            with pytest.raises(ConnectivityError):
+                vertex_transmission(g, 0)
+            with pytest.raises(ConnectivityError):
+                root_transmission(g)
+            with pytest.raises(ConnectivityError):
+                distance_histogram(g)
         with pytest.raises(ConnectivityError):
-            graph_transmission(TWO_ISOLATED)
-        with pytest.raises(ConnectivityError):
-            vertex_transmission(TWO_ISOLATED, 0)
-        with pytest.raises(ConnectivityError):
-            distance_histogram(TWO_ISOLATED)
+            vertex_transmission(isolated_root, 1)
+
+
+@pytest.mark.parametrize("command, calls", [("verify", 7 + 1), ("hist", 7)])
+def test_oracle_runs_one_bfs_per_source(monkeypatch, capsys, command, calls):
+    """No BFS only for connectivity: ``verify`` adds the root's, ``hist`` none."""
+    sources = []
+
+    def counting(g, source):
+        sources.append(source)
+        return bfs_distances(g, source)
+
+    monkeypatch.setattr(transmit.graph, "bfs_distances", counting)
+    assert main([command, "cycle(7)"]) == 0
+    assert len(sources) == calls
 
 
 class TestTransmission:
@@ -142,6 +247,25 @@ class TestDistanceHistogram:
         h = DistanceHistogram({0: 3, 1: 4, 2: 2})
         assert h.transmission() == 8
         assert h.total_pairs() == 9
+
+
+def test_bfs_matches_reference_on_corpus():
+    for text in oracle_corpus():
+        expr = parse(text)
+        if estimated_size(expr) > 1024:
+            continue  # mesh(64,64) alone would take seconds
+        g = build_expr(expr)
+        for source in range(g.vertex_count):
+            assert bfs_distances(g, source) == reference_bfs_distances(g, source), text
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists())
+def test_bfs_matches_reference_on_random_edge_lists(graph):
+    n, edges = graph
+    g = graph_from_edges(n, edges, root=0)
+    for source in range(n):
+        assert bfs_distances(g, source) == reference_bfs_distances(g, source)
 
 
 @settings(max_examples=60, deadline=None)
