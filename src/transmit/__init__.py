@@ -6,7 +6,7 @@ over materialized graphs (:mod:`transmit.graph`, :mod:`transmit.builders`).
 Their exact agreement is the package's correctness argument.
 """
 
-from .builders import build_expr
+from .builders import DEFAULT_VERTEX_CAP, build_expr
 from .dsl import estimated_size, parse, render, validate
 from .errors import (
     ConnectivityError,
@@ -18,13 +18,11 @@ from .errors import (
 )
 from .formulas import TransmissionTriple, evaluate_expr
 from .graph import (
-    DEFAULT_VERTEX_CAP,
     DistanceHistogram,
     RootedGraph,
     bfs_distances,
     distance_histogram,
     graph_transmission,
-    is_connected,
     root_transmission,
     vertex_transmission,
 )
@@ -51,7 +49,6 @@ __all__ = [
     "estimated_size",
     "evaluate_expr",
     "graph_transmission",
-    "is_connected",
     "parse",
     "render",
     "root_transmission",

@@ -12,37 +12,46 @@ reproducible:
 - wedge: shared root 0, then each part's non-root vertices in part order;
 - rooted product: (g, h) maps to g * |H| + h;
 - attach: the new pendant root is 0, old vertices shift up by one.
+
+Each builder writes the strictly increasing adjacency rows of its graph
+straight from these rules, and each combinator reads its parts' rows, so
+building costs O(V+E) per level. ``RootedGraph`` validates every graph,
+the intermediate ones too.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect
 
 from . import dsl
 from .dsl import TopologyExpr
 from .errors import ResourceLimitError
-from .graph import DEFAULT_VERTEX_CAP, RootedGraph, graph_from_edges
+from .graph import RootedGraph
+
+#: Default vertex cap of ``build_expr``, the package's only graph producer;
+#: it guards the O(V^2) oracle that runs on every built graph.
+DEFAULT_VERTEX_CAP = 100_000
 
 
 def complete_graph(n: int) -> RootedGraph:
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return graph_from_edges(n, edges, root=0)
+    everyone = tuple(range(n))
+    return RootedGraph(n, tuple(everyone[:i] + everyone[i + 1:] for i in range(n)), 0)
 
 
 def cycle_graph(n: int) -> RootedGraph:
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return graph_from_edges(n, edges, root=0)
+    rows = ((1, n - 1),) + tuple((i - 1, i + 1) for i in range(1, n - 1)) + ((0, n - 2),)
+    return RootedGraph(n, rows, 0)
 
 
 def star_graph(n: int) -> RootedGraph:
     """Star with n leaves (n + 1 vertices), rooted at the center."""
-    edges = [(0, leaf) for leaf in range(1, n + 1)]
-    return graph_from_edges(n + 1, edges, root=0)
+    return RootedGraph(n + 1, (tuple(range(1, n + 1)),) + ((0,),) * n, 0)
 
 
 def path_graph(n: int) -> RootedGraph:
-    edges = [(i, i + 1) for i in range(n - 1)]
-    return graph_from_edges(n, edges, root=0)
+    rows = tuple(tuple(j for j in (i - 1, i + 1) if 0 <= j < n) for i in range(n))
+    return RootedGraph(n, rows, 0)
 
 
 def mesh_graph(dims: tuple[int, ...]) -> RootedGraph:
@@ -53,68 +62,83 @@ def mesh_graph(dims: tuple[int, ...]) -> RootedGraph:
     for axis in range(len(dims) - 1, -1, -1):
         strides[axis] = stride
         stride *= dims[axis]
-
-    edges = []
+    # Strides fall with the axis, so the lower neighbors come in increasing
+    # order over axes first to last and the upper ones over last to first.
+    axes = range(len(dims))
+    rows = []
     coords = [0] * len(dims)
     for index in range(size):
-        for axis, r in enumerate(dims):
-            if coords[axis] + 1 < r:
-                edges.append((index, index + strides[axis]))
+        lower = [index - strides[a] for a in axes if coords[a] > 0]
+        upper = [index + strides[a] for a in reversed(axes) if coords[a] + 1 < dims[a]]
+        rows.append(tuple(lower + upper))
         # row-major odometer increment
-        for axis in range(len(dims) - 1, -1, -1):
+        for axis in reversed(axes):
             coords[axis] += 1
             if coords[axis] < dims[axis]:
                 break
             coords[axis] = 0
-    return graph_from_edges(size, edges, root=0)
+    return RootedGraph(size, tuple(rows), 0)
 
 
 def tree_graph(arity: int, depth: int) -> RootedGraph:
-    """Perfect tree in breadth-first numbering: a^j vertices at depth j."""
-    edges = []
-    for parent in range(dsl.tree_size(arity, depth - 1)):  # the internal vertices
-        for c in range(arity):
-            edges.append((parent, parent * arity + 1 + c))
-    return graph_from_edges(dsl.tree_size(arity, depth), edges, root=0)
+    """Perfect tree in breadth-first numbering: a^j vertices at depth j.
+
+    Vertex v's parent is (v - 1) // arity and its children, if it is one of
+    the internal vertices, are v * arity + 1 .. v * arity + arity.
+    """
+    internal = dsl.tree_size(arity, depth - 1)
+    rows = [tuple(range(v * arity + 1, v * arity + arity + 1)) for v in range(internal)]
+    rows += [()] * (dsl.tree_size(arity, depth) - internal)
+    for v in range(1, len(rows)):
+        rows[v] = ((v - 1) // arity,) + rows[v]
+    return RootedGraph(len(rows), tuple(rows), 0)
 
 
 def wedge_graphs(parts: list[RootedGraph]) -> RootedGraph:
     """Glue all parts at their roots; the shared root becomes vertex 0."""
-    size = sum(p.vertex_count for p in parts) - (len(parts) - 1)
-    edges = []
+    root_row = []
+    rows = []
     offset = 1
     for part in parts:
-        def renumber(v: int, part: RootedGraph = part, offset: int = offset) -> int:
-            if v == part.root:
-                return 0
-            return offset + (v if v < part.root else v - 1)
-
-        for u, v in part.edges():
-            edges.append((renumber(u), renumber(v)))
+        root = part.root
+        # Non-root vertex w moves to offset + w, less one above the root.
+        # That keeps rows increasing; the root, now 0, goes first.
+        moved = [
+            tuple([offset + w - (w > root) for w in row if w != root])
+            for row in part.adjacency
+        ]
+        for w in part.adjacency[root]:
+            moved[w] = (0,) + moved[w]
+        root_row += moved.pop(root)
+        rows += moved
         offset += part.vertex_count - 1
-    return graph_from_edges(size, edges, root=0)
+    return RootedGraph(offset, (tuple(root_row),) + tuple(rows), 0)
 
 
 def rooted_product_graphs(g: RootedGraph, h: RootedGraph) -> RootedGraph:
     """One copy of h per vertex of g; g's edges join the copies at h's root."""
-    size = g.vertex_count * h.vertex_count
-    nh = h.vertex_count
-    edges = []
-    for u, v in g.edges():
-        edges.append((u * nh + h.root, v * nh + h.root))
-    for gi in range(g.vertex_count):
+    nh, hr = h.vertex_count, h.root
+    rows = []
+    for gi, g_row in enumerate(g.adjacency):
         base = gi * nh
-        for u, v in h.edges():
-            edges.append((base + u, base + v))
-    return graph_from_edges(size, edges, root=g.root * nh + h.root)
+        copy = [tuple([base + w for w in h_row]) for h_row in h.adjacency]
+        # g's neighbors below gi sit in earlier copies, the rest in later ones
+        split = bisect(g_row, gi)
+        copy[hr] = (
+            tuple([u * nh + hr for u in g_row[:split]])
+            + copy[hr]
+            + tuple([u * nh + hr for u in g_row[split:]])
+        )
+        rows += copy
+    return RootedGraph(g.vertex_count * nh, tuple(rows), g.root * nh + hr)
 
 
 def attach_root(g: RootedGraph) -> RootedGraph:
     """Add a pendant vertex at the root and make the pendant the new root."""
-    edges = [(0, g.root + 1)]
-    for u, v in g.edges():
-        edges.append((u + 1, v + 1))
-    return graph_from_edges(g.vertex_count + 1, edges, root=0)
+    old_root = g.root + 1
+    rows = [(old_root,)] + [tuple([w + 1 for w in row]) for row in g.adjacency]
+    rows[old_root] = (0,) + rows[old_root]
+    return RootedGraph(len(rows), tuple(rows), 0)
 
 
 def power_graph(g: RootedGraph, k: int) -> RootedGraph:
@@ -145,9 +169,10 @@ def build_expr(expr: TopologyExpr, max_vertices: int = DEFAULT_VERTEX_CAP) -> Ro
     """Materialize a validated expression, bottom-up.
 
     The exact size is computed up front, so an oversized expression fails
-    fast with the estimate attached. This is the only construction cap:
-    sizes only grow towards the root, so no intermediate graph is larger
-    than the final one.
+    fast with the estimate attached. This is the package's only vertex
+    cap: sizes only grow towards the root, so no intermediate graph is
+    larger than the final one, and the oracle measures only graphs built
+    here.
     """
     dsl.require_valid(expr)
     size = dsl.estimated_size(expr)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import click
 
-from .builders import build_expr
+from .builders import DEFAULT_VERTEX_CAP, build_expr
 from .dsl import parse
 from .errors import (
     ResourceLimitError,
@@ -26,12 +26,7 @@ from .errors import (
     decimal_text,
 )
 from .formulas import TransmissionTriple, evaluate_expr, gf_series, tree_triple
-from .graph import (
-    DEFAULT_VERTEX_CAP,
-    distance_histogram,
-    graph_transmission,
-    root_transmission,
-)
+from .graph import distance_histogram, graph_transmission, root_transmission
 from .metrics import TopologyReport, compare_rank, summarize
 
 FORMATS = ("table", "json", "csv")
@@ -188,11 +183,13 @@ def eval_cmd(expr_text: str, rate: str | None, time_: str | None, fmt: str) -> i
 def verify(expr_text: str, max_vertices: int) -> int:
     """Check the closed-form triple of EXPR against the BFS oracle."""
     expr = parse(expr_text)
-    closed = evaluate_expr(expr)
+    # Building first refuses an over-cap expression before its closed form,
+    # which can be a huge power, is evaluated.
     graph = build_expr(expr, max_vertices)
+    closed = evaluate_expr(expr)
     oracle = TransmissionTriple(
         graph.vertex_count,
-        graph_transmission(graph, max_vertices),
+        graph_transmission(graph),
         root_transmission(graph),
     )
     rows = [
@@ -312,7 +309,7 @@ def series(arity: int, terms: int, fmt: str) -> int:
 def hist(expr_text: str, max_vertices: int, fmt: str) -> int:
     """Distance histogram of EXPR from the BFS oracle, plus delta."""
     graph = build_expr(parse(expr_text), max_vertices)
-    histogram = distance_histogram(graph, max_vertices)
+    histogram = distance_histogram(graph)
     delta = histogram.transmission()
 
     if fmt == "json":

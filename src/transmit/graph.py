@@ -2,7 +2,9 @@
 
 Everything here is deliberately simple: the BFS oracle is the independent
 check for every closed-form transmission formula, so it must stay obviously
-correct. Graphs are immutable after construction and safe to share.
+correct. A graph is its strictly increasing adjacency rows, written by
+:mod:`transmit.builders`; it is validated on construction, immutable after
+it and safe to share.
 
 Costs: validating a graph is O(V+E) time and O(V) extra memory. One BFS
 is O(V+E) and stops at the end of the first level after which every vertex
@@ -16,13 +18,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import ConnectivityError, ResourceLimitError, ValidationError
+from .errors import ConnectivityError, ValidationError
 
 #: Sentinel distance for vertices a BFS could not reach.
 UNREACHABLE = -1
-
-#: Default guard for the O(V^2) oracle operations and for builders.
-DEFAULT_VERTEX_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -80,37 +79,12 @@ class RootedGraph:
                 else:
                     raise ValidationError(f"edge {i}-{j} is not symmetric")
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(row) for row in self.adjacency) // 2
-
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as (low, high) pairs in deterministic order."""
-        return [(i, j) for i in range(self.vertex_count) for j in self.adjacency[i] if i < j]
-
-
-def graph_from_edges(
-    vertex_count: int, edges: list[tuple[int, int]], root: int
-) -> RootedGraph:
-    """Build a RootedGraph from an edge list, sorting and deduplicating."""
-    neighbors: list[set[int]] = [set() for _ in range(vertex_count)]
-    for u, v in edges:
-        if u == v:
-            raise ValidationError(f"self-loop at vertex {u}")
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    adjacency = tuple(tuple(sorted(s)) for s in neighbors)
-    return RootedGraph(vertex_count, adjacency, root)
-
 
 @dataclass(frozen=True)
 class DistanceHistogram:
     """Number of ordered vertex pairs at each hop distance."""
 
     counts: dict[int, int] = field(default_factory=dict)
-
-    def total_pairs(self) -> int:
-        return sum(self.counts.values())
 
     def transmission(self) -> int:
         """Recompute delta as sum of distance * pair count."""
@@ -146,11 +120,6 @@ def bfs_distances(g: RootedGraph, source: int) -> list[int]:
     return dist
 
 
-def is_connected(g: RootedGraph) -> bool:
-    """True iff a single BFS from vertex 0 reaches every vertex."""
-    return UNREACHABLE not in bfs_distances(g, 0)
-
-
 def _connected_distances(g: RootedGraph, source: int) -> list[int]:
     """``bfs_distances`` from ``source``, refusing a disconnected graph."""
     dist = bfs_distances(g, source)
@@ -159,11 +128,6 @@ def _connected_distances(g: RootedGraph, source: int) -> list[int]:
             "graph is disconnected; transmission is undefined"
         )
     return dist
-
-
-def _check_cap(g: RootedGraph, max_vertices: int) -> None:
-    if g.vertex_count > max_vertices:
-        raise ResourceLimitError(g.vertex_count, max_vertices)
 
 
 def vertex_transmission(g: RootedGraph, v: int) -> int:
@@ -176,13 +140,12 @@ def root_transmission(g: RootedGraph) -> int:
     return vertex_transmission(g, g.root)
 
 
-def graph_transmission(g: RootedGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> int:
+def graph_transmission(g: RootedGraph) -> int:
     """Sum of distances over all ordered vertex pairs, by per-source BFS.
 
-    Runs one BFS per vertex; guarded by ``max_vertices`` because the total
-    work is quadratic.
+    Runs one BFS per vertex, so the total work is quadratic; the vertex cap
+    is ``build_expr``'s.
     """
-    _check_cap(g, max_vertices)
     # One BFS decides whether an undirected graph is connected, so only
     # the first source's distances are checked.
     total = sum(_connected_distances(g, 0))
@@ -191,11 +154,8 @@ def graph_transmission(g: RootedGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -
     return total
 
 
-def distance_histogram(
-    g: RootedGraph, max_vertices: int = DEFAULT_VERTEX_CAP
-) -> DistanceHistogram:
+def distance_histogram(g: RootedGraph) -> DistanceHistogram:
     """Count ordered vertex pairs by hop distance."""
-    _check_cap(g, max_vertices)
     counts = Counter(_connected_distances(g, 0))
     for source in range(1, g.vertex_count):
         counts.update(bfs_distances(g, source))

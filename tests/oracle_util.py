@@ -1,16 +1,22 @@
-"""Brute-force measurements used as the independent side of every check."""
+"""Brute-force measurements used as the independent side of every check,
+and the edge-list graph construction the package's row builders must match."""
 
 from __future__ import annotations
 
+import math
+
+from transmit import dsl
+from transmit.dsl import TopologyExpr
+from transmit.errors import ValidationError
 from transmit.formulas import TransmissionTriple
 from transmit.graph import UNREACHABLE, RootedGraph, graph_transmission, root_transmission
 
 
-def oracle_triple(g: RootedGraph, max_vertices: int = 100_000) -> TransmissionTriple:
+def oracle_triple(g: RootedGraph) -> TransmissionTriple:
     """(size, delta, delta0) measured by per-source BFS."""
     return TransmissionTriple(
         g.vertex_count,
-        graph_transmission(g, max_vertices),
+        graph_transmission(g),
         root_transmission(g),
     )
 
@@ -52,3 +58,128 @@ def floyd_warshall(g: RootedGraph) -> list[list[float]]:
                 if through < dist[i][j]:
                     dist[i][j] = through
     return dist
+
+
+def edges(g: RootedGraph) -> list[tuple[int, int]]:
+    """All edges of ``g`` as (low, high) pairs in deterministic order."""
+    return [(i, j) for i in range(g.vertex_count) for j in g.adjacency[i] if i < j]
+
+
+def graph_from_edges(
+    vertex_count: int, pairs: list[tuple[int, int]], root: int
+) -> RootedGraph:
+    """Build a RootedGraph from an edge list, sorting and deduplicating."""
+    neighbors: list[set[int]] = [set() for _ in range(vertex_count)]
+    for u, v in pairs:
+        if u == v:
+            raise ValidationError(f"self-loop at vertex {u}")
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    adjacency = tuple(tuple(sorted(s)) for s in neighbors)
+    return RootedGraph(vertex_count, adjacency, root)
+
+
+# The edge-list builders: each writes its graph's edges and leaves sorting
+# and deduplication to ``graph_from_edges``; combinators read their parts'
+# ``edges``. ``transmit.builders`` writes adjacency rows directly and must
+# give the same numbering, rows and root.
+
+
+def reference_complete(n: int) -> RootedGraph:
+    return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)], 0)
+
+
+def reference_cycle(n: int) -> RootedGraph:
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)], 0)
+
+
+def reference_star(n: int) -> RootedGraph:
+    return graph_from_edges(n + 1, [(0, leaf) for leaf in range(1, n + 1)], 0)
+
+
+def reference_path(n: int) -> RootedGraph:
+    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)], 0)
+
+
+def reference_mesh(dims: tuple[int, ...]) -> RootedGraph:
+    size = math.prod(dims)
+    strides = [0] * len(dims)
+    stride = 1
+    for axis in range(len(dims) - 1, -1, -1):
+        strides[axis] = stride
+        stride *= dims[axis]
+    pairs = []
+    coords = [0] * len(dims)
+    for index in range(size):
+        for axis, r in enumerate(dims):
+            if coords[axis] + 1 < r:
+                pairs.append((index, index + strides[axis]))
+        for axis in range(len(dims) - 1, -1, -1):
+            coords[axis] += 1
+            if coords[axis] < dims[axis]:
+                break
+            coords[axis] = 0
+    return graph_from_edges(size, pairs, 0)
+
+
+def reference_tree(arity: int, depth: int) -> RootedGraph:
+    pairs = []
+    for parent in range(dsl.tree_size(arity, depth - 1)):
+        for c in range(arity):
+            pairs.append((parent, parent * arity + 1 + c))
+    return graph_from_edges(dsl.tree_size(arity, depth), pairs, 0)
+
+
+def reference_wedge(parts: list[RootedGraph]) -> RootedGraph:
+    size = sum(p.vertex_count for p in parts) - (len(parts) - 1)
+    pairs = []
+    offset = 1
+    for part in parts:
+        def renumber(v: int, part: RootedGraph = part, offset: int = offset) -> int:
+            if v == part.root:
+                return 0
+            return offset + (v if v < part.root else v - 1)
+
+        for u, v in edges(part):
+            pairs.append((renumber(u), renumber(v)))
+        offset += part.vertex_count - 1
+    return graph_from_edges(size, pairs, 0)
+
+
+def reference_rooted_product(g: RootedGraph, h: RootedGraph) -> RootedGraph:
+    nh = h.vertex_count
+    pairs = [(u * nh + h.root, v * nh + h.root) for u, v in edges(g)]
+    for gi in range(g.vertex_count):
+        pairs += [(gi * nh + u, gi * nh + v) for u, v in edges(h)]
+    return graph_from_edges(g.vertex_count * nh, pairs, g.root * nh + h.root)
+
+
+def reference_attach(g: RootedGraph) -> RootedGraph:
+    pairs = [(0, g.root + 1)] + [(u + 1, v + 1) for u, v in edges(g)]
+    return graph_from_edges(g.vertex_count + 1, pairs, 0)
+
+
+def reference_power(g: RootedGraph, k: int) -> RootedGraph:
+    result = g
+    for _ in range(k - 1):
+        result = reference_rooted_product(result, g)
+    return result
+
+
+_REFERENCE_OPS = {
+    dsl.Complete: lambda e, _: reference_complete(e.n),
+    dsl.Cycle: lambda e, _: reference_cycle(e.n),
+    dsl.Star: lambda e, _: reference_star(e.n),
+    dsl.Path: lambda e, _: reference_path(e.n),
+    dsl.Mesh: lambda e, _: reference_mesh(e.dims),
+    dsl.Tree: lambda e, _: reference_tree(e.arity, e.depth),
+    dsl.Wedge: lambda _, parts: reference_wedge(parts),
+    dsl.RootedProduct: lambda _, gh: reference_rooted_product(*gh),
+    dsl.Power: lambda e, base: reference_power(base[0], e.exponent),
+    dsl.Attach: lambda _, child: reference_attach(child[0]),
+}
+
+
+def reference_build(expr: TopologyExpr) -> RootedGraph:
+    """``expr`` built through edge lists (valid expressions only; no cap)."""
+    return dsl.fold(expr, _REFERENCE_OPS)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transmit.builders import (
     attach_root,
@@ -32,15 +34,24 @@ from transmit.dsl import (
 )
 from transmit.errors import ResourceLimitError, ValidationError
 from transmit.graph import (
+    UNREACHABLE,
     RootedGraph,
     bfs_distances,
     graph_transmission,
-    is_connected,
     root_transmission,
 )
 
-from expr_corpus import random_expressions
-from oracle_util import oracle_triple
+from expr_corpus import oracle_corpus, random_expressions
+from expr_strategies import buildable_expressions
+from oracle_util import (
+    edges,
+    graph_from_edges,
+    oracle_triple,
+    reference_attach,
+    reference_build,
+    reference_rooted_product,
+    reference_wedge,
+)
 
 K2 = complete_graph(2)
 
@@ -50,7 +61,7 @@ class TestPrimitives:
         g = star_graph(3)
         assert g.vertex_count == 4
         assert g.root == 0
-        assert g.edges() == [(0, 1), (0, 2), (0, 3)]
+        assert edges(g) == [(0, 1), (0, 2), (0, 3)]
 
     def test_star_center_degree(self):
         for n in (1, 4, 9):
@@ -59,7 +70,7 @@ class TestPrimitives:
     def test_tree_bfs_numbering(self):
         g = tree_graph(2, 2)
         assert g.vertex_count == 7
-        assert g.edges() == [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]
+        assert edges(g) == [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]
         assert g.root == 0
 
     def test_tree_level_sizes(self):
@@ -70,13 +81,13 @@ class TestPrimitives:
 
     def test_degenerate_tree_is_path(self):
         g = tree_graph(1, 4)
-        assert g.edges() == path_graph(5).edges()
+        assert edges(g) == edges(path_graph(5))
 
     def test_mesh_2x3(self):
         g = mesh_graph((2, 3))
         assert g.vertex_count == 6
-        assert g.edge_count == 7
-        assert g.edges() == [(0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (4, 5)]
+        assert len(edges(g)) == 7
+        assert edges(g) == [(0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (4, 5)]
         assert graph_transmission(g) == 50
 
     def test_mesh_corner_degree(self):
@@ -85,7 +96,7 @@ class TestPrimitives:
 
     def test_cycle_shape(self):
         g = cycle_graph(4)
-        assert g.edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
+        assert edges(g) == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
     def test_parameter_minimums(self):
         # the minimums live in the node table and are enforced by build_expr
@@ -97,6 +108,9 @@ class TestPrimitives:
         with pytest.raises(ResourceLimitError):
             build_expr(Complete(10), max_vertices=9)
         with pytest.raises(ResourceLimitError):
+            build_expr(Path(50), max_vertices=49)
+        assert build_expr(Path(50), max_vertices=50).vertex_count == 50
+        with pytest.raises(ResourceLimitError):
             build_expr(Tree(2, 20), max_vertices=1000)
 
 
@@ -106,18 +120,18 @@ class TestWedge:
         g = wedge_graphs([part])
         assert g.root == 0
         assert g.vertex_count == 3
-        assert g.edges() == [(0, 1), (0, 2)]
+        assert edges(g) == [(0, 1), (0, 2)]
         assert oracle_triple(g) == oracle_triple(part)
 
     def test_two_edges_make_a_path(self):
         g = wedge_graphs([K2, K2])
         assert g.vertex_count == 3
-        assert g.edges() == [(0, 1), (0, 2)]
+        assert edges(g) == [(0, 1), (0, 2)]
         assert g.root == 0
 
     def test_three_edges_make_a_star(self):
         g = wedge_graphs([K2, K2, K2])
-        assert g.edges() == star_graph(3).edges()
+        assert edges(g) == edges(star_graph(3))
         assert graph_transmission(g) == 18
 
     def test_size_identity(self):
@@ -134,7 +148,7 @@ class TestRootedProduct:
     def test_k2_by_k2_is_path_of_four(self):
         g = rooted_product_graphs(K2, K2)
         assert g.vertex_count == 4
-        assert g.edges() == [(0, 1), (0, 2), (2, 3)]
+        assert edges(g) == [(0, 1), (0, 2), (2, 3)]
         assert graph_transmission(g) == 20
 
     def test_identity_on_either_side(self):
@@ -156,12 +170,12 @@ class TestAttachRoot:
     def test_single_vertex_becomes_edge(self):
         g = attach_root(RootedGraph(1, ((),), 0))
         assert g.vertex_count == 2
-        assert g.edges() == [(0, 1)]
+        assert edges(g) == [(0, 1)]
         assert g.root == 0
 
     def test_twice_gives_path_rooted_at_endpoint(self):
         g = attach_root(attach_root(RootedGraph(1, ((),), 0)))
-        assert g.edges() == [(0, 1), (1, 2)]
+        assert edges(g) == [(0, 1), (1, 2)]
         assert g.root == 0
 
     def test_on_center_rooted_star(self):
@@ -176,7 +190,7 @@ class TestPower:
         assert power_graph(g, 1) is g
 
     def test_square_of_edge_is_path_of_four(self):
-        assert power_graph(K2, 2).edges() == rooted_product_graphs(K2, K2).edges()
+        assert edges(power_graph(K2, 2)) == edges(rooted_product_graphs(K2, K2))
 
     def test_cube_of_edge(self):
         g = power_graph(K2, 3)
@@ -191,9 +205,9 @@ class TestPower:
 
 class TestBuildExpr:
     def test_examples(self):
-        assert build_expr(parse("complete(3)")).edges() == complete_graph(3).edges()
+        assert edges(build_expr(parse("complete(3)"))) == edges(complete_graph(3))
         assert build_expr(parse("wedge(complete(2),complete(2))")).vertex_count == 3
-        assert build_expr(parse("power(complete(2),2)")).edges() == [(0, 1), (0, 2), (2, 3)]
+        assert edges(build_expr(parse("power(complete(2),2)"))) == [(0, 1), (0, 2), (2, 3)]
 
     def test_oversize_carries_estimate(self):
         with pytest.raises(ResourceLimitError) as info:
@@ -211,7 +225,7 @@ class TestBuildExpr:
     def test_every_built_graph_is_connected_and_sized(self):
         for expr in random_expressions(40, seed=11, size_bound=80):
             g = build_expr(expr)
-            assert is_connected(g)
+            assert UNREACHABLE not in bfs_distances(g, 0)
             assert g.vertex_count == estimated_size(expr)
 
 
@@ -231,3 +245,39 @@ def test_direct_tree_matches_recursive_construction(arity, depth):
     recursive = recursive_tree(arity, depth)
     assert direct.vertex_count == recursive.vertex_count
     assert oracle_triple(direct) == oracle_triple(recursive)
+
+
+def _fields(g: RootedGraph):
+    return g.vertex_count, g.adjacency, g.root
+
+
+def test_rows_match_the_edge_list_reference_on_the_corpus():
+    for text in oracle_corpus():
+        expr = parse(text)
+        assert _fields(build_expr(expr)) == _fields(reference_build(expr)), text
+
+
+@settings(max_examples=150, deadline=None)
+@given(buildable_expressions(size_bound=200))
+def test_rows_match_the_edge_list_reference_on_random_expressions(expr):
+    assert _fields(build_expr(expr)) == _fields(reference_build(expr))
+
+
+@st.composite
+def rooted_graphs(draw):
+    """Small graphs, not always connected, rooted anywhere: every built graph
+    is rooted at 0 except rooted products, so expressions alone leave most
+    root positions of the combinators' renumbering untried."""
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])))
+    return graph_from_edges(n, pairs, draw(vertex))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rooted_graphs(), min_size=1, max_size=3))
+def test_combinators_match_the_edge_list_reference_at_any_root(parts):
+    assert _fields(wedge_graphs(parts)) == _fields(reference_wedge(parts))
+    assert _fields(attach_root(parts[0])) == _fields(reference_attach(parts[0]))
+    g, h = parts[0], parts[-1]
+    assert _fields(rooted_product_graphs(g, h)) == _fields(reference_rooted_product(g, h))

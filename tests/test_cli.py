@@ -187,6 +187,15 @@ class TestVerify:
         size = digits_by_divmod(2**200_001 - 1)
         assert err == f"error: estimated size {size} exceeds the vertex cap of 100000\n"
 
+    def test_cap_is_checked_before_the_closed_form(self, capsys, monkeypatch):
+        def refuse(expr):
+            pytest.fail("verify evaluated the closed form of an over-cap expression")
+
+        monkeypatch.setattr(transmit.cli, "evaluate_expr", refuse)
+        code, out, err = run(capsys, "verify", "power(complete(10),6)", "--max-vertices", "999999")
+        assert (code, out) == (3, "")
+        assert err == "error: estimated size 1000000 exceeds the vertex cap of 999999\n"
+
     def test_cap_is_configurable(self, capsys):
         code, _, _ = run(capsys, "verify", "mesh(40,50)", "--max-vertices", "2000")
         assert code == 0
