@@ -10,7 +10,9 @@ reproducible:
   corner index 0;
 - tree: breadth-first order, root 0;
 - wedge: shared root 0, then each part's non-root vertices in part order;
-- rooted product: (g, h) maps to g * |H| + h;
+- Cartesian and rooted product: (g, h) maps to g * |H| + h, the root to
+  (g's root, h's root); g's edges join the copies of H at every h, or at
+  h's root only in the rooted product;
 - attach: the new pendant root is 0, old vertices shift up by one.
 
 Each builder writes the strictly increasing adjacency rows of its graph
@@ -21,8 +23,7 @@ the intermediate ones too.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect
+from functools import reduce
 
 from . import dsl
 from .dsl import TopologyExpr
@@ -55,29 +56,8 @@ def path_graph(n: int) -> RootedGraph:
 
 
 def mesh_graph(dims: tuple[int, ...]) -> RootedGraph:
-    """Cartesian product of paths; vertices row-major, root at corner 0."""
-    size = math.prod(dims)
-    strides = [0] * len(dims)
-    stride = 1
-    for axis in range(len(dims) - 1, -1, -1):
-        strides[axis] = stride
-        stride *= dims[axis]
-    # Strides fall with the axis, so the lower neighbors come in increasing
-    # order over axes first to last and the upper ones over last to first.
-    axes = range(len(dims))
-    rows = []
-    coords = [0] * len(dims)
-    for index in range(size):
-        lower = [index - strides[a] for a in axes if coords[a] > 0]
-        upper = [index + strides[a] for a in reversed(axes) if coords[a] + 1 < dims[a]]
-        rows.append(tuple(lower + upper))
-        # row-major odometer increment
-        for axis in reversed(axes):
-            coords[axis] += 1
-            if coords[axis] < dims[axis]:
-                break
-            coords[axis] = 0
-    return RootedGraph(size, tuple(rows), 0)
+    """The right fold cart(path(R_1), cart(path(R_2), ...)), which is row-major."""
+    return reduce(lambda rest, g: cartesian_graphs(g, rest), map(path_graph, reversed(dims)))
 
 
 def tree_graph(arity: int, depth: int) -> RootedGraph:
@@ -115,22 +95,32 @@ def wedge_graphs(parts: list[RootedGraph]) -> RootedGraph:
     return RootedGraph(offset, (tuple(root_row),) + tuple(rows), 0)
 
 
-def rooted_product_graphs(g: RootedGraph, h: RootedGraph) -> RootedGraph:
-    """One copy of h per vertex of g; g's edges join the copies at h's root."""
-    nh, hr = h.vertex_count, h.root
+def _product_graphs(g: RootedGraph, h: RootedGraph, joined: range | tuple[int]) -> RootedGraph:
+    """One copy of h per vertex of g; g's edges join the copies at each
+    vertex of h in ``joined``."""
+    nh = h.vertex_count
     rows = []
     for gi, g_row in enumerate(g.adjacency):
         base = gi * nh
         copy = [tuple([base + w for w in h_row]) for h_row in h.adjacency]
-        # g's neighbors below gi sit in earlier copies, the rest in later ones
-        split = bisect(g_row, gi)
-        copy[hr] = (
-            tuple([u * nh + hr for u in g_row[:split]])
-            + copy[hr]
-            + tuple([u * nh + hr for u in g_row[split:]])
-        )
+        # g's neighbors below gi sit in earlier copies, the rest in later
+        # ones, so a joined row stays increasing.
+        lower = [u * nh for u in g_row if u < gi]
+        upper = [u * nh for u in g_row if u > gi]
+        for hj in joined:
+            copy[hj] = tuple([u + hj for u in lower]) + copy[hj] + tuple([u + hj for u in upper])
         rows += copy
-    return RootedGraph(g.vertex_count * nh, tuple(rows), g.root * nh + hr)
+    return RootedGraph(g.vertex_count * nh, tuple(rows), g.root * nh + h.root)
+
+
+def cartesian_graphs(g: RootedGraph, h: RootedGraph) -> RootedGraph:
+    """Cartesian product: g's edges join the copies of h at every vertex."""
+    return _product_graphs(g, h, range(h.vertex_count))
+
+
+def rooted_product_graphs(g: RootedGraph, h: RootedGraph) -> RootedGraph:
+    """One copy of h per vertex of g; g's edges join the copies at h's root."""
+    return _product_graphs(g, h, (h.root,))
 
 
 def attach_root(g: RootedGraph) -> RootedGraph:

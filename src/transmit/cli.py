@@ -53,10 +53,15 @@ _cap_option = click.option(
 )
 
 
+#: Six significant digits, ties to even, any exponent, whatever the caller's context.
+_DISPLAY_CONTEXT = decimal.Context(
+    prec=6, rounding=decimal.ROUND_HALF_EVEN, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+)
+
+
 def _decimal_display(value: Fraction) -> str:
     """Fixed 6-significant-digit rendering; display only, never computed with."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 6
+    with decimal.localcontext(_DISPLAY_CONTEXT):
         return str(decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator))
 
 

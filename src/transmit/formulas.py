@@ -9,15 +9,17 @@ the BFS oracle can check directly.
 Trees and powers are computed by the paper's closed forms, a fixed number
 of big-integer operations whatever the depth or exponent. Those forms
 divide by powers of n - 1, so a unary tree (a path) and a power of one
-vertex (that vertex) take their own exact forms. The level and exponent
-recurrences are kept in the test suite as an independent reference. Every division is asserted exact: a
-remainder means a formula was transcribed wrong, never a rounding issue.
+vertex (that vertex) take their own exact forms. A mesh folds the
+Cartesian-product rule over its axes. The level and exponent recurrences
+and the per-axis mesh sum are kept in the test suite as independent
+references. Every division is asserted exact: a remainder means a formula
+was transcribed wrong, never a rounding issue.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import reduce
 
 from . import dsl
 from .dsl import TopologyExpr
@@ -108,24 +110,19 @@ def path_triple(n: int) -> TransmissionTriple:
     return TransmissionTriple(n, exact_div(n**3 - n, 3), n * (n - 1) // 2)
 
 
-def mesh_triple(dims: tuple[int, ...]) -> TransmissionTriple:
-    """Mesh (cartesian product of paths), rooted at a corner.
+def cartesian_triple(g: TransmissionTriple, h: TransmissionTriple) -> TransmissionTriple:
+    """Cartesian product, rooted at (root of g, root of h); distances add
+    coordinatewise."""
+    return TransmissionTriple(
+        g.size * h.size,
+        h.size**2 * g.delta + g.size**2 * h.delta,
+        h.size * g.delta0 + g.size * h.delta0,
+    )
 
-    delta sums, per axis, the path pair-distance total scaled by the
-    squared sizes of the other axes; delta0 is the corner's coordinatewise
-    distance sum.
-    """
-    size = math.prod(dims)
-    delta = 0
-    delta0 = 0
-    for axis, r in enumerate(dims):
-        others = 1
-        for other_axis, s in enumerate(dims):
-            if other_axis != axis:
-                others *= s
-        delta += others**2 * exact_div(r**3 - r, 3)
-        delta0 += others * (r * (r - 1) // 2)
-    return TransmissionTriple(size, delta, delta0)
+
+def mesh_triple(dims: tuple[int, ...]) -> TransmissionTriple:
+    """Mesh: the Cartesian product of paths, rooted at a corner."""
+    return reduce(cartesian_triple, map(path_triple, dims))
 
 
 def wedge_triple(parts: list[TransmissionTriple]) -> TransmissionTriple:

@@ -154,6 +154,13 @@ def reference_rooted_product(g: RootedGraph, h: RootedGraph) -> RootedGraph:
     return graph_from_edges(g.vertex_count * nh, pairs, g.root * nh + h.root)
 
 
+def reference_cartesian(g: RootedGraph, h: RootedGraph) -> RootedGraph:
+    nh = h.vertex_count
+    pairs = [(u * nh + hj, v * nh + hj) for u, v in edges(g) for hj in range(nh)]
+    pairs += [(gi * nh + u, gi * nh + v) for gi in range(g.vertex_count) for u, v in edges(h)]
+    return graph_from_edges(g.vertex_count * nh, pairs, g.root * nh + h.root)
+
+
 def reference_attach(g: RootedGraph) -> RootedGraph:
     pairs = [(0, g.root + 1)] + [(u + 1, v + 1) for u, v in edges(g)]
     return graph_from_edges(g.vertex_count + 1, pairs, 0)

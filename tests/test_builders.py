@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from transmit.builders import (
     attach_root,
     build_expr,
+    cartesian_graphs,
     complete_graph,
     cycle_graph,
     mesh_graph,
@@ -33,6 +34,7 @@ from transmit.dsl import (
     parse,
 )
 from transmit.errors import ResourceLimitError, ValidationError
+from transmit.formulas import cartesian_triple, rooted_product_triple
 from transmit.graph import (
     UNREACHABLE,
     RootedGraph,
@@ -49,6 +51,7 @@ from oracle_util import (
     oracle_triple,
     reference_attach,
     reference_build,
+    reference_cartesian,
     reference_rooted_product,
     reference_wedge,
 )
@@ -142,6 +145,13 @@ class TestWedge:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             build_expr(Wedge(()))
+
+
+class TestCartesianProduct:
+    def test_k2_by_k2_is_a_four_cycle(self):
+        g = cartesian_graphs(K2, K2)
+        assert edges(g) == [(0, 1), (0, 2), (1, 3), (2, 3)]
+        assert g.root == 0
 
 
 class TestRootedProduct:
@@ -264,13 +274,16 @@ def test_rows_match_the_edge_list_reference_on_random_expressions(expr):
 
 
 @st.composite
-def rooted_graphs(draw):
-    """Small graphs, not always connected, rooted anywhere: every built graph
-    is rooted at 0 except rooted products, so expressions alone leave most
-    root positions of the combinators' renumbering untried."""
+def rooted_graphs(draw, connected=False):
+    """Small graphs, not always connected, rooted anywhere: every graph built
+    from an expression is rooted at 0, so expressions alone leave most root
+    positions of the combinators' renumbering untried. ``connected`` adds an
+    edge from each vertex to an earlier one."""
     n = draw(st.integers(1, 7))
     vertex = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])))
+    if connected:
+        pairs += [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
     return graph_from_edges(n, pairs, draw(vertex))
 
 
@@ -281,3 +294,13 @@ def test_combinators_match_the_edge_list_reference_at_any_root(parts):
     assert _fields(attach_root(parts[0])) == _fields(reference_attach(parts[0]))
     g, h = parts[0], parts[-1]
     assert _fields(rooted_product_graphs(g, h)) == _fields(reference_rooted_product(g, h))
+    assert _fields(cartesian_graphs(g, h)) == _fields(reference_cartesian(g, h))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rooted_graphs(connected=True), rooted_graphs(connected=True))
+def test_product_triples_match_the_oracle_at_any_root(g, h):
+    # the only check of the root rule and delta0 at roots other than 0
+    gt, ht = oracle_triple(g), oracle_triple(h)
+    assert cartesian_triple(gt, ht) == oracle_triple(cartesian_graphs(g, h))
+    assert rooted_product_triple(gt, ht) == oracle_triple(rooted_product_graphs(g, h))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import decimal
 import gc
 import io
 import json
@@ -11,6 +12,7 @@ import sys
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,15 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "tree(2,2)", "--rate", "2", "--time", "10")
         assert code == 0
         assert "expected_messages  1920" in out
+
+    def test_display_ignores_the_ambient_decimal_context(self):
+        # the caller's exponent range and rounding must not reach the display
+        values = [Fraction(2 * 10**150), Fraction(2, 10**150), Fraction(2, 3)]
+        expected = ["2.00000E+150", "2E-150", "0.666667"]
+        assert [transmit.cli._decimal_display(v) for v in values] == expected
+        narrow = decimal.Context(Emax=99, Emin=-99, rounding=decimal.ROUND_DOWN)
+        with decimal.localcontext(narrow):
+            assert [transmit.cli._decimal_display(v) for v in values] == expected
 
     def test_rate_without_time_is_usage_error(self, capsys):
         code, out, err = run(capsys, "eval", "tree(2,2)", "--rate", "2")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from transmit.formulas import (
     SeriesTerms,
     TransmissionTriple,
     attach_root_triple,
+    cartesian_triple,
     complete_triple,
     cycle_triple,
     evaluate_expr,
@@ -42,7 +45,13 @@ from transmit.formulas import (
 from expr_corpus import random_expressions
 from expr_strategies import buildable_expressions
 from oracle_util import oracle_triple
-from recurrences import SINGLE_VERTEX, power_coefficients, power_recurrence, tree_recurrence
+from recurrences import (
+    SINGLE_VERTEX,
+    mesh_axis_sum,
+    power_coefficients,
+    power_recurrence,
+    tree_recurrence,
+)
 
 EDGE = TransmissionTriple(2, 2, 1)
 
@@ -165,6 +174,29 @@ class TestRootedProductTriple:
         assert rooted_product_triple(oracle_triple(g), oracle_triple(h)) == oracle_triple(
             rooted_product_graphs(g, h)
         )
+
+
+class TestCartesianTriple:
+    def test_edge_squared_is_a_four_cycle(self):
+        assert cartesian_triple(EDGE, EDGE) == cycle_triple(4)
+
+    def test_single_vertex_identity(self):
+        t = tree_triple(2, 3)
+        assert cartesian_triple(t, SINGLE_VERTEX) == t
+        assert cartesian_triple(SINGLE_VERTEX, t) == t
+
+    def test_mesh_fold_matches_the_axis_sum_on_300_axes(self):
+        # far past the oracle's reach: 300 axes with sides 1..5, ones included
+        rng = random.Random(300)
+        dims = tuple(rng.randint(1, 5) for _ in range(300))
+        assert 1 in dims
+        assert mesh_triple(dims) == mesh_axis_sum(dims)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=8).map(tuple))
+def test_mesh_fold_matches_the_axis_sum(dims):
+    assert mesh_triple(dims) == mesh_axis_sum(dims)
 
 
 class TestTreeTriple:
