@@ -56,8 +56,13 @@ def path_graph(n: int) -> RootedGraph:
 
 
 def mesh_graph(dims: tuple[int, ...]) -> RootedGraph:
-    """The right fold cart(path(R_1), cart(path(R_2), ...)), which is row-major."""
-    return reduce(lambda rest, g: cartesian_graphs(g, rest), map(path_graph, reversed(dims)))
+    """The right fold cart(path(R_1), cart(path(R_2), ...)), which is row-major.
+
+    Sides of 1 are left out: a product with a one-vertex path keeps the
+    numbering, so folding one in would only rebuild the same graph.
+    """
+    kept = [r for r in dims if r != 1] or [1]
+    return reduce(lambda rest, g: cartesian_graphs(g, rest), map(path_graph, reversed(kept)))
 
 
 def tree_graph(arity: int, depth: int) -> RootedGraph:

@@ -9,8 +9,11 @@ it and safe to share.
 Costs: validating a graph is O(V+E) time and O(V) extra memory. One BFS
 is O(V+E) and stops at the end of the first level after which every vertex
 is reached, so on a complete graph it scans one row. The transmission and
-histogram functions read connectivity off the distances they compute
-anyway and run no BFS beyond one per source.
+histogram functions run one BFS from vertex 0, which checks connectivity
+and gives its eccentricity e. When 8·e < V the graph is shallow and they
+count all pairs with reach bitsets: O(diameter·E) ORs of ``_BLOCK``-bit
+integers per block of sources, in 2·V·``_BLOCK``/8 bytes. Otherwise (long
+cycles and paths, deep chains) they run one BFS per remaining source.
 """
 
 from __future__ import annotations
@@ -22,6 +25,12 @@ from .errors import ConnectivityError, ValidationError
 
 #: Sentinel distance for vertices a BFS could not reach.
 UNREACHABLE = -1
+
+# Sources per block of reach bitsets. Wider blocks mean fewer interpreted
+# ORs but more memory, 2·V·_BLOCK/8 bytes: about 1 MiB at 4096 vertices.
+_BLOCK = 1024
+
+_DISCONNECTED = "graph is disconnected; transmission is undefined"
 
 
 @dataclass(frozen=True)
@@ -124,9 +133,7 @@ def _connected_distances(g: RootedGraph, source: int) -> list[int]:
     """``bfs_distances`` from ``source``, refusing a disconnected graph."""
     dist = bfs_distances(g, source)
     if UNREACHABLE in dist:
-        raise ConnectivityError(
-            "graph is disconnected; transmission is undefined"
-        )
+        raise ConnectivityError(_DISCONNECTED)
     return dist
 
 
@@ -140,15 +147,65 @@ def root_transmission(g: RootedGraph) -> int:
     return vertex_transmission(g, g.root)
 
 
-def graph_transmission(g: RootedGraph) -> int:
-    """Sum of distances over all ordered vertex pairs, by per-source BFS.
+def _bitsets_pay(first: list[int]) -> bool:
+    """Whether reach bitsets beat per-source BFS, judged from the distances
+    from vertex 0. Bitsets make one pass over the edges per level, so they
+    pay when the eccentricity is small against the vertex count; cycles and
+    paths fall on the BFS side."""
+    return 8 * max(first) < len(first)
 
-    Runs one BFS per vertex, so the total work is quadratic; the vertex cap
-    is ``build_expr``'s.
+
+def _bitset_distance_counts(g: RootedGraph) -> dict[int, int]:
+    """Ordered pairs by hop distance, grown level by level as reach bitsets.
+
+    Sources go in blocks of ``_BLOCK``. Distance is symmetric, so bit i of
+    ``reach[v]`` says that the block's i-th source is within d of v. One
+    level ORs every neighbor's reach into a vertex's own, and the pairs at
+    distance d are the rise in set bits. A vertex that holds the whole
+    block keeps the one shared ``full`` object and is skipped.
+    """
+    n = g.vertex_count
+    adjacency = g.adjacency
+    counts = {0: n}
+    for start in range(0, n, _BLOCK):
+        width = min(_BLOCK, n - start)
+        full = (1 << width) - 1
+        reach = [0] * n
+        reach[start : start + width] = [1 << i for i in range(width)]
+        reached = width
+        depth = 0
+        while reached < width * n:
+            depth += 1
+            grown = []
+            for r, row in zip(reach, adjacency):
+                if r is not full:
+                    for u in row:
+                        r |= reach[u]
+                    if r == full:
+                        r = full
+                grown.append(r)
+            reach = grown
+            total = sum(map(int.bit_count, reach))
+            if total == reached:  # stuck short of every pair: disconnected
+                raise ConnectivityError(_DISCONNECTED)
+            counts[depth] = counts.get(depth, 0) + total - reached
+            reached = total
+    return counts
+
+
+def graph_transmission(g: RootedGraph) -> int:
+    """Sum of distances over all ordered vertex pairs.
+
+    Counts pairs with reach bitsets on shallow graphs and runs one BFS per
+    vertex on deep ones (see the module notes); either way the work is
+    quadratic, and the vertex cap is ``build_expr``'s.
     """
     # One BFS decides whether an undirected graph is connected, so only
     # the first source's distances are checked.
-    total = sum(_connected_distances(g, 0))
+    first = _connected_distances(g, 0)
+    if _bitsets_pay(first):
+        return sum(d * c for d, c in _bitset_distance_counts(g).items())
+    total = sum(first)
     for source in range(1, g.vertex_count):
         total += sum(bfs_distances(g, source))
     return total
@@ -156,7 +213,11 @@ def graph_transmission(g: RootedGraph) -> int:
 
 def distance_histogram(g: RootedGraph) -> DistanceHistogram:
     """Count ordered vertex pairs by hop distance."""
-    counts = Counter(_connected_distances(g, 0))
-    for source in range(1, g.vertex_count):
-        counts.update(bfs_distances(g, source))
+    first = _connected_distances(g, 0)
+    if _bitsets_pay(first):
+        counts = _bitset_distance_counts(g)
+    else:
+        counts = Counter(first)
+        for source in range(1, g.vertex_count):
+            counts.update(bfs_distances(g, source))
     return DistanceHistogram(dict(sorted(counts.items())))

@@ -4,6 +4,7 @@ and the edge-list graph construction the package's row builders must match."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from transmit import dsl
 from transmit.dsl import TopologyExpr
@@ -13,7 +14,7 @@ from transmit.graph import UNREACHABLE, RootedGraph, graph_transmission, root_tr
 
 
 def oracle_triple(g: RootedGraph) -> TransmissionTriple:
-    """(size, delta, delta0) measured by per-source BFS."""
+    """(size, delta, delta0) measured by the package's oracle."""
     return TransmissionTriple(
         g.vertex_count,
         graph_transmission(g),
@@ -41,6 +42,18 @@ def reference_bfs_distances(g: RootedGraph, source: int) -> list[int]:
                     next_frontier.append(w)
         frontier = next_frontier
     return dist
+
+
+def reference_distance_counts(g: RootedGraph) -> Counter[int]:
+    """Ordered vertex pairs by distance, one reference BFS per source.
+
+    The side the package's bitset counting must equal; UNREACHABLE counts
+    the pairs of a disconnected graph that no path joins.
+    """
+    counts = Counter()
+    for source in range(g.vertex_count):
+        counts.update(reference_bfs_distances(g, source))
+    return counts
 
 
 def floyd_warshall(g: RootedGraph) -> list[list[float]]:

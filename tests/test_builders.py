@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import transmit.builders
 from transmit.builders import (
     attach_root,
     build_expr,
@@ -52,6 +55,7 @@ from oracle_util import (
     reference_attach,
     reference_build,
     reference_cartesian,
+    reference_mesh,
     reference_rooted_product,
     reference_wedge,
 )
@@ -271,6 +275,23 @@ def test_rows_match_the_edge_list_reference_on_the_corpus():
 @given(buildable_expressions(size_bound=200))
 def test_rows_match_the_edge_list_reference_on_random_expressions(expr):
     assert _fields(build_expr(expr)) == _fields(reference_build(expr))
+
+
+def test_mesh_leaves_out_sides_of_one(monkeypatch):
+    products = []
+
+    def counting(g, h):
+        products.append((g.vertex_count, h.vertex_count))
+        return cartesian_graphs(g, h)
+
+    monkeypatch.setattr(transmit.builders, "cartesian_graphs", counting)
+    for k in range(1, 5):
+        for dims in itertools.product((1, 2, 3), repeat=k):
+            kept = tuple(r for r in dims if r != 1) or (1,)
+            products.clear()
+            g = mesh_graph(dims)
+            assert len(products) == len(kept) - 1, dims
+            assert g == mesh_graph(kept) == reference_mesh(dims), dims
 
 
 @st.composite

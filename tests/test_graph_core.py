@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import transmit.graph
-from transmit.builders import build_expr, complete_graph, path_graph, star_graph, tree_graph
+from transmit.builders import (
+    build_expr,
+    complete_graph,
+    mesh_graph,
+    path_graph,
+    star_graph,
+    tree_graph,
+)
 from transmit.cli import main
 from transmit.dsl import estimated_size, parse
 from transmit.errors import ConnectivityError, ValidationError
@@ -24,7 +31,13 @@ from transmit.graph import (
 
 from expr_corpus import oracle_corpus
 from expr_strategies import buildable_expressions
-from oracle_util import edges, floyd_warshall, graph_from_edges, reference_bfs_distances
+from oracle_util import (
+    edges,
+    floyd_warshall,
+    graph_from_edges,
+    reference_bfs_distances,
+    reference_distance_counts,
+)
 
 SINGLE = RootedGraph(1, ((),), 0)
 TWO_ISOLATED = RootedGraph(2, ((), ()), 0)
@@ -199,6 +212,21 @@ def test_oracle_runs_one_bfs_per_source(monkeypatch, capsys, command, calls):
     assert len(sources) == calls
 
 
+@pytest.mark.parametrize("oracle", [graph_transmission, distance_histogram])
+def test_shallow_graph_needs_only_the_first_bfs(monkeypatch, oracle):
+    """mesh(16,16): 8 * ecc(0) = 240 < 256 vertices, so pairs are counted
+    with reach bitsets after the BFS from vertex 0."""
+    sources = []
+
+    def counting(g, source):
+        sources.append(source)
+        return bfs_distances(g, source)
+
+    monkeypatch.setattr(transmit.graph, "bfs_distances", counting)
+    oracle(mesh_graph((16, 16)))
+    assert sources == [0]
+
+
 class TestTransmission:
     def test_star_center_and_leaf(self):
         g = star_graph(3)
@@ -248,6 +276,49 @@ def test_bfs_matches_reference_on_corpus():
         g = build_expr(expr)
         for source in range(g.vertex_count):
             assert bfs_distances(g, source) == reference_bfs_distances(g, source), text
+
+
+def _assert_oracle_counts(g: RootedGraph, reference) -> None:
+    """Both all-pairs functions against reference pair counts, histogram
+    order included."""
+    expected = sorted(reference.items())
+    assert graph_transmission(g) == sum(d * c for d, c in expected)
+    assert list(distance_histogram(g).counts.items()) == expected
+
+
+def test_oracle_matches_reference_counts_on_corpus(monkeypatch):
+    # Widths 7 and V - 1 split the sources mid-graph, the last block ragged.
+    # Width 7 stops at 512 vertices: on mesh(32,32) it alone takes seconds.
+    default = transmit.graph._BLOCK
+    for text in oracle_corpus():
+        expr = parse(text)
+        if estimated_size(expr) > 1024:
+            continue
+        g = build_expr(expr)
+        reference = reference_distance_counts(g)
+        n = g.vertex_count
+        for block in (default, max(1, n - 1)) + ((7,) if n <= 512 else ()):
+            monkeypatch.setattr(transmit.graph, "_BLOCK", block)
+            _assert_oracle_counts(g, reference)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(edge_lists(), buildable_expressions().map(build_expr)))
+def test_bitset_counts_match_reference_at_small_width(graph):
+    g = graph if isinstance(graph, RootedGraph) else graph_from_edges(*graph, root=0)
+    reference = reference_distance_counts(g)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transmit.graph, "_BLOCK", 7)
+        if UNREACHABLE in reference:
+            with pytest.raises(ConnectivityError):
+                graph_transmission(g)
+            with pytest.raises(ConnectivityError):
+                distance_histogram(g)
+            with pytest.raises(ConnectivityError):
+                transmit.graph._bitset_distance_counts(g)
+        else:
+            _assert_oracle_counts(g, reference)
+            assert transmit.graph._bitset_distance_counts(g) == reference
 
 
 @settings(max_examples=150, deadline=None)
