@@ -20,7 +20,7 @@ from .formulas import TransmissionTriple, evaluate_expr
 from .graph import (
     DistanceHistogram,
     RootedGraph,
-    bfs_distances,
+    bfs_levels,
     distance_histogram,
     graph_transmission,
     root_transmission,
@@ -42,7 +42,7 @@ __all__ = [
     "TransmissionTriple",
     "TransmitError",
     "ValidationError",
-    "bfs_distances",
+    "bfs_levels",
     "build_expr",
     "compare_rank",
     "distance_histogram",

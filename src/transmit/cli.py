@@ -321,14 +321,14 @@ def hist(expr_text: str, max_vertices: int, fmt: str) -> int:
         payload = {
             "expr": expr_text,
             "counts": {
-                decimal_text(d): decimal_text(c) for d, c in sorted(histogram.counts.items())
+                decimal_text(d): decimal_text(c) for d, c in histogram.counts.items()
             },
             "delta": decimal_text(delta),
         }
         click.echo(json.dumps(payload, indent=2), file=sys.stdout)
         return 0
     rows = [("distance", "pairs")]
-    for d, c in sorted(histogram.counts.items()):
+    for d, c in histogram.counts.items():
         rows.append((decimal_text(d), decimal_text(c)))
     rows.append(("delta", decimal_text(delta)))
     if fmt == "csv":

@@ -35,12 +35,11 @@ class ConnectivityError(TransmitError):
 class ResourceLimitError(TransmitError):
     """A construction or oracle operation would exceed the vertex cap."""
 
-    def __init__(self, estimated_size: int, limit: int, message: str | None = None):
+    def __init__(self, estimated_size: int, limit: int):
         self.estimated_size = estimated_size
         self.limit = limit
         super().__init__(
-            message
-            or f"estimated size {decimal_text(estimated_size)} exceeds the vertex cap"
+            f"estimated size {decimal_text(estimated_size)} exceeds the vertex cap"
             f" of {decimal_text(limit)}"
         )
 

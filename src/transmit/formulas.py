@@ -71,20 +71,21 @@ class TransmissionTriple:
 
 @dataclass(frozen=True)
 class SeriesTerms:
-    """Power-series coefficients: terms[k] = delta of the depth-(k+1) tree."""
+    """Power-series coefficients: terms[k] = delta of the depth-(k+1) tree.
+
+    Built by ``gf_series``, which range-checks the arity and the term count
+    before its convolution; the series itself checks its leading term.
+    """
 
     arity: int
     terms: tuple[int, ...]
 
     def __post_init__(self):
-        if self.arity < 2:
-            raise ValidationError(f"series arity must be >= 2, got {self.arity}")
-        if not self.terms:
-            raise ValidationError("series needs at least one term")
         expected = 2 * self.arity**2
-        if self.terms[0] != expected:
+        leading = self.terms[0] if self.terms else "none"
+        if leading != expected:
             raise ValidationError(
-                f"leading term must be 2*arity^2 = {expected}, got {self.terms[0]}"
+                f"leading term must be 2*arity^2 = {expected}, got {leading}"
             )
 
 

@@ -7,24 +7,23 @@ correct. A graph is its strictly increasing adjacency rows, written by
 it and safe to share.
 
 Costs: validating a graph is O(V+E) time and O(V) extra memory. One BFS
-is O(V+E) and stops at the end of the first level after which every vertex
-is reached, so on a complete graph it scans one row. The transmission and
-histogram functions run one BFS from vertex 0, which checks connectivity
-and gives its eccentricity e. When 8·e < V the graph is shallow and they
-count all pairs with reach bitsets: O(diameter·E) ORs of ``_BLOCK``-bit
-integers per block of sources, in 2·V·``_BLOCK``/8 bytes. Otherwise (long
-cycles and paths, deep chains) they run one BFS per remaining source.
+is O(V+E), returns how many vertices lie at each distance, and stops at the
+end of the first level after which every vertex is reached, so on a
+complete graph it scans one row. ``distance_histogram`` counts ordered
+pairs by distance, and every transmission is a weighted sum of such
+counts. It runs one BFS from vertex 0, which checks connectivity and gives
+its eccentricity e. When 8·e < V the graph is shallow and it counts all
+pairs with reach bitsets: O(diameter·E) ORs of ``_BLOCK``-bit integers per
+block of sources, in 2·V·``_BLOCK``/8 bytes. Otherwise (long cycles and
+paths, deep chains) it adds up the levels of one BFS per remaining source.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import add
 
 from .errors import ConnectivityError, ValidationError
-
-#: Sentinel distance for vertices a BFS could not reach.
-UNREACHABLE = -1
 
 # Sources per block of reach bitsets. Wider blocks mean fewer interpreted
 # ORs but more memory, 2·V·_BLOCK/8 bytes: about 1 MiB at 4096 vertices.
@@ -91,55 +90,53 @@ class RootedGraph:
 
 @dataclass(frozen=True)
 class DistanceHistogram:
-    """Number of ordered vertex pairs at each hop distance."""
+    """Number of ordered vertex pairs at each hop distance.
 
-    counts: dict[int, int] = field(default_factory=dict)
+    ``counts`` maps each distance from 0 to the diameter, in ascending
+    order, to its pair count.
+    """
+
+    counts: dict[int, int]
 
     def transmission(self) -> int:
         """Recompute delta as sum of distance * pair count."""
         return sum(d * c for d, c in self.counts.items())
 
 
-def bfs_distances(g: RootedGraph, source: int) -> list[int]:
-    """Hop count from ``source`` to every vertex (UNREACHABLE if none).
+def bfs_levels(g: RootedGraph, source: int) -> list[int]:
+    """Level sizes of a BFS: entry d counts the vertices d hops from ``source``.
 
     Stops after the first level that leaves no vertex unreached, so on a
-    dense graph the last levels never scan their neighbors.
+    dense graph the last levels never scan their neighbors. Raises
+    ``ConnectivityError`` if some vertex is never reached.
     """
-    if not 0 <= source < g.vertex_count:
-        raise ValidationError(
-            f"source {source} out of range 0..{g.vertex_count - 1}"
-        )
-    dist = [UNREACHABLE] * g.vertex_count
-    dist[source] = 0
+    n = g.vertex_count
+    if not 0 <= source < n:
+        raise ValidationError(f"source {source} out of range 0..{n - 1}")
+    seen = [False] * n
+    seen[source] = True
     adjacency = g.adjacency
     frontier = [source]
-    unreached = g.vertex_count - 1
-    depth = 0
-    while frontier and unreached:
-        depth += 1
+    levels = [1]
+    unreached = n - 1
+    while unreached:
         next_frontier = []
         for v in frontier:
             for w in adjacency[v]:
-                if dist[w] < 0:
-                    dist[w] = depth
+                if not seen[w]:
+                    seen[w] = True
                     next_frontier.append(w)
+        if not next_frontier:
+            raise ConnectivityError(_DISCONNECTED)
+        levels.append(len(next_frontier))
         unreached -= len(next_frontier)
         frontier = next_frontier
-    return dist
-
-
-def _connected_distances(g: RootedGraph, source: int) -> list[int]:
-    """``bfs_distances`` from ``source``, refusing a disconnected graph."""
-    dist = bfs_distances(g, source)
-    if UNREACHABLE in dist:
-        raise ConnectivityError(_DISCONNECTED)
-    return dist
+    return levels
 
 
 def vertex_transmission(g: RootedGraph, v: int) -> int:
     """Sum of hop distances from ``v`` to every vertex."""
-    return sum(_connected_distances(g, v))
+    return sum(d * c for d, c in enumerate(bfs_levels(g, v)))
 
 
 def root_transmission(g: RootedGraph) -> int:
@@ -147,15 +144,7 @@ def root_transmission(g: RootedGraph) -> int:
     return vertex_transmission(g, g.root)
 
 
-def _bitsets_pay(first: list[int]) -> bool:
-    """Whether reach bitsets beat per-source BFS, judged from the distances
-    from vertex 0. Bitsets make one pass over the edges per level, so they
-    pay when the eccentricity is small against the vertex count; cycles and
-    paths fall on the BFS side."""
-    return 8 * max(first) < len(first)
-
-
-def _bitset_distance_counts(g: RootedGraph) -> dict[int, int]:
+def _bitset_distance_counts(g: RootedGraph) -> list[int]:
     """Ordered pairs by hop distance, grown level by level as reach bitsets.
 
     Sources go in blocks of ``_BLOCK``. Distance is symmetric, so bit i of
@@ -166,7 +155,7 @@ def _bitset_distance_counts(g: RootedGraph) -> dict[int, int]:
     """
     n = g.vertex_count
     adjacency = g.adjacency
-    counts = {0: n}
+    counts = [n]
     for start in range(0, n, _BLOCK):
         width = min(_BLOCK, n - start)
         full = (1 << width) - 1
@@ -188,36 +177,35 @@ def _bitset_distance_counts(g: RootedGraph) -> dict[int, int]:
             total = sum(map(int.bit_count, reach))
             if total == reached:  # stuck short of every pair: disconnected
                 raise ConnectivityError(_DISCONNECTED)
-            counts[depth] = counts.get(depth, 0) + total - reached
+            if depth == len(counts):
+                counts.append(0)
+            counts[depth] += total - reached
             reached = total
     return counts
 
 
-def graph_transmission(g: RootedGraph) -> int:
-    """Sum of distances over all ordered vertex pairs.
-
-    Counts pairs with reach bitsets on shallow graphs and runs one BFS per
-    vertex on deep ones (see the module notes); either way the work is
-    quadratic, and the vertex cap is ``build_expr``'s.
-    """
-    # One BFS decides whether an undirected graph is connected, so only
-    # the first source's distances are checked.
-    first = _connected_distances(g, 0)
-    if _bitsets_pay(first):
-        return sum(d * c for d, c in _bitset_distance_counts(g).items())
-    total = sum(first)
-    for source in range(1, g.vertex_count):
-        total += sum(bfs_distances(g, source))
-    return total
-
-
 def distance_histogram(g: RootedGraph) -> DistanceHistogram:
-    """Count ordered vertex pairs by hop distance."""
-    first = _connected_distances(g, 0)
-    if _bitsets_pay(first):
+    """Count ordered vertex pairs by hop distance.
+
+    The BFS from vertex 0 alone decides whether an undirected graph is
+    connected, and its eccentricity ``len(levels) - 1`` picks the method
+    (see the module notes). Either way the work is quadratic, and the
+    vertex cap is ``build_expr``'s.
+    """
+    n = g.vertex_count
+    levels = bfs_levels(g, 0)
+    if 8 * (len(levels) - 1) < n:
         counts = _bitset_distance_counts(g)
     else:
-        counts = Counter(first)
-        for source in range(1, g.vertex_count):
-            counts.update(bfs_distances(g, source))
-    return DistanceHistogram(dict(sorted(counts.items())))
+        # No eccentricity exceeds twice vertex 0's: a path through 0 is that short.
+        counts = levels + [0] * (len(levels) - 1)
+        for source in range(1, n):
+            levels = bfs_levels(g, source)
+            counts[: len(levels)] = map(add, counts, levels)
+    return DistanceHistogram({d: c for d, c in enumerate(counts) if c})
+
+
+def graph_transmission(g: RootedGraph) -> int:
+    """Sum of distances over all ordered vertex pairs: the weighted sum of
+    ``distance_histogram``."""
+    return distance_histogram(g).transmission()

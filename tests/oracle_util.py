@@ -10,7 +10,10 @@ from transmit import dsl
 from transmit.dsl import TopologyExpr
 from transmit.errors import ValidationError
 from transmit.formulas import TransmissionTriple
-from transmit.graph import UNREACHABLE, RootedGraph, graph_transmission, root_transmission
+from transmit.graph import RootedGraph, graph_transmission, root_transmission
+
+#: Reference distance of a vertex no path reaches.
+UNREACHABLE = -1
 
 
 def oracle_triple(g: RootedGraph) -> TransmissionTriple:
@@ -25,8 +28,9 @@ def oracle_triple(g: RootedGraph) -> TransmissionTriple:
 def reference_bfs_distances(g: RootedGraph, source: int) -> list[int]:
     """Per-source BFS that scans every level until the frontier empties.
 
-    The plain loop the package's early-stopping ``bfs_distances`` must agree
-    with, on connected and disconnected graphs alike.
+    The plain loop whose level sizes the package's early-stopping
+    ``bfs_levels`` must return, on connected graphs; on disconnected ones
+    ``bfs_levels`` must raise ``ConnectivityError``.
     """
     dist = [UNREACHABLE] * g.vertex_count
     dist[source] = 0
@@ -42,6 +46,13 @@ def reference_bfs_distances(g: RootedGraph, source: int) -> list[int]:
                     next_frontier.append(w)
         frontier = next_frontier
     return dist
+
+
+def level_sizes(dist: list[int]) -> list[int]:
+    """Vertices at each distance 0, 1, ... of a reference BFS that reached
+    every vertex."""
+    counts = Counter(dist)
+    return [counts[d] for d in range(len(counts))]
 
 
 def reference_distance_counts(g: RootedGraph) -> Counter[int]:

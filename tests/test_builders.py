@@ -39,9 +39,8 @@ from transmit.dsl import (
 from transmit.errors import ResourceLimitError, ValidationError
 from transmit.formulas import cartesian_triple, rooted_product_triple
 from transmit.graph import (
-    UNREACHABLE,
     RootedGraph,
-    bfs_distances,
+    bfs_levels,
     graph_transmission,
     root_transmission,
 )
@@ -81,10 +80,7 @@ class TestPrimitives:
         assert g.root == 0
 
     def test_tree_level_sizes(self):
-        g = tree_graph(3, 3)
-        depths = bfs_distances(g, 0)
-        for level in range(4):
-            assert depths.count(level) == 3**level
+        assert bfs_levels(tree_graph(3, 3), 0) == [1, 3, 9, 27]
 
     def test_degenerate_tree_is_path(self):
         g = tree_graph(1, 4)
@@ -239,7 +235,7 @@ class TestBuildExpr:
     def test_every_built_graph_is_connected_and_sized(self):
         for expr in random_expressions(40, seed=11, size_bound=80):
             g = build_expr(expr)
-            assert UNREACHABLE not in bfs_distances(g, 0)
+            assert sum(bfs_levels(g, 0)) == g.vertex_count
             assert g.vertex_count == estimated_size(expr)
 
 

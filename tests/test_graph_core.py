@@ -19,10 +19,9 @@ from transmit.cli import main
 from transmit.dsl import estimated_size, parse
 from transmit.errors import ConnectivityError, ValidationError
 from transmit.graph import (
-    UNREACHABLE,
     DistanceHistogram,
     RootedGraph,
-    bfs_distances,
+    bfs_levels,
     distance_histogram,
     graph_transmission,
     root_transmission,
@@ -32,14 +31,17 @@ from transmit.graph import (
 from expr_corpus import oracle_corpus
 from expr_strategies import buildable_expressions
 from oracle_util import (
+    UNREACHABLE,
     edges,
     floyd_warshall,
     graph_from_edges,
+    level_sizes,
     reference_bfs_distances,
     reference_distance_counts,
 )
 
 SINGLE = RootedGraph(1, ((),), 0)
+DISCONNECTED = "graph is disconnected; transmission is undefined"
 TWO_ISOLATED = RootedGraph(2, ((), ()), 0)
 
 
@@ -148,39 +150,43 @@ class TestBfsDistances:
         ):
             counted = RootedGraph(g.vertex_count, _CountingRows(g.adjacency), g.root)
             counted.adjacency.lookups = 0
-            assert bfs_distances(counted, source) == reference_bfs_distances(g, source)
+            expected = level_sizes(reference_bfs_distances(g, source))
+            assert bfs_levels(counted, source) == expected
             assert counted.adjacency.lookups == rows_scanned
 
     def test_star_from_leaf(self):
-        assert bfs_distances(star_graph(3), 1) == [1, 0, 2, 2]
+        assert bfs_levels(star_graph(3), 1) == [1, 1, 2]
 
     def test_source_distance_zero(self):
         g = tree_graph(2, 2)
         for s in range(g.vertex_count):
-            assert bfs_distances(g, s)[s] == 0
+            assert bfs_levels(g, s)[0] == 1
 
     def test_path_from_endpoint(self):
-        assert bfs_distances(path_graph(4), 0) == [0, 1, 2, 3]
+        assert bfs_levels(path_graph(4), 0) == [1, 1, 1, 1]
 
     def test_unreachable_sentinel(self):
-        assert bfs_distances(TWO_ISOLATED, 0) == [0, UNREACHABLE]
+        with pytest.raises(ConnectivityError, match=f"^{DISCONNECTED}$"):
+            bfs_levels(TWO_ISOLATED, 0)
 
     def test_source_out_of_range(self):
-        with pytest.raises(ValidationError):
-            bfs_distances(SINGLE, 1)
-        with pytest.raises(ValidationError):
-            bfs_distances(SINGLE, -1)
+        with pytest.raises(ValidationError, match="^source 1 out of range 0..0$"):
+            bfs_levels(SINGLE, 1)
+        with pytest.raises(ValidationError, match="^source -1 out of range 0..0$"):
+            bfs_levels(SINGLE, -1)
 
 
 class TestConnectivity:
     def test_single_vertex(self):
-        assert UNREACHABLE not in bfs_distances(SINGLE, 0)
+        assert sum(bfs_levels(SINGLE, 0)) == SINGLE.vertex_count
 
     def test_path(self):
-        assert UNREACHABLE not in bfs_distances(path_graph(4), 0)
+        g = path_graph(4)
+        assert sum(bfs_levels(g, 0)) == g.vertex_count
 
     def test_two_isolated_vertices(self):
-        assert UNREACHABLE in bfs_distances(TWO_ISOLATED, 0)
+        with pytest.raises(ConnectivityError):
+            bfs_levels(TWO_ISOLATED, 0)
 
     def test_transmission_rejects_disconnected(self):
         # path 0-1 plus an isolated vertex 2 that is the root
@@ -205,9 +211,9 @@ def test_oracle_runs_one_bfs_per_source(monkeypatch, capsys, command, calls):
 
     def counting(g, source):
         sources.append(source)
-        return bfs_distances(g, source)
+        return bfs_levels(g, source)
 
-    monkeypatch.setattr(transmit.graph, "bfs_distances", counting)
+    monkeypatch.setattr(transmit.graph, "bfs_levels", counting)
     assert main([command, "cycle(7)"]) == 0
     assert len(sources) == calls
 
@@ -220,9 +226,9 @@ def test_shallow_graph_needs_only_the_first_bfs(monkeypatch, oracle):
 
     def counting(g, source):
         sources.append(source)
-        return bfs_distances(g, source)
+        return bfs_levels(g, source)
 
-    monkeypatch.setattr(transmit.graph, "bfs_distances", counting)
+    monkeypatch.setattr(transmit.graph, "bfs_levels", counting)
     oracle(mesh_graph((16, 16)))
     assert sources == [0]
 
@@ -275,7 +281,8 @@ def test_bfs_matches_reference_on_corpus():
             continue  # mesh(64,64) alone would take seconds
         g = build_expr(expr)
         for source in range(g.vertex_count):
-            assert bfs_distances(g, source) == reference_bfs_distances(g, source), text
+            expected = level_sizes(reference_bfs_distances(g, source))
+            assert bfs_levels(g, source) == expected, text
 
 
 def _assert_oracle_counts(g: RootedGraph, reference) -> None:
@@ -318,7 +325,8 @@ def test_bitset_counts_match_reference_at_small_width(graph):
                 transmit.graph._bitset_distance_counts(g)
         else:
             _assert_oracle_counts(g, reference)
-            assert transmit.graph._bitset_distance_counts(g) == reference
+            expected = [reference[d] for d in range(len(reference))]
+            assert transmit.graph._bitset_distance_counts(g) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -327,7 +335,12 @@ def test_bfs_matches_reference_on_random_edge_lists(graph):
     n, edges = graph
     g = graph_from_edges(n, edges, root=0)
     for source in range(n):
-        assert bfs_distances(g, source) == reference_bfs_distances(g, source)
+        dist = reference_bfs_distances(g, source)
+        if UNREACHABLE in dist:
+            with pytest.raises(ConnectivityError, match=f"^{DISCONNECTED}$"):
+                bfs_levels(g, source)
+        else:
+            assert bfs_levels(g, source) == level_sizes(dist)
 
 
 @settings(max_examples=60, deadline=None)
@@ -335,7 +348,7 @@ def test_bfs_matches_reference_on_random_edge_lists(graph):
 def test_bfs_properties_on_random_graphs(expr):
     g = build_expr(expr)
     n = g.vertex_count
-    dists = [bfs_distances(g, s) for s in range(n)]
+    dists = [reference_bfs_distances(g, s) for s in range(n)]
 
     # symmetry of the metric
     for u in range(n):
