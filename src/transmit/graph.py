@@ -11,15 +11,12 @@ is O(V+E), returns how many vertices lie at each distance, and stops at the
 end of the first level after which every vertex is reached, so on a
 complete graph it scans one row. ``distance_histogram`` counts ordered
 pairs by distance, and every transmission is a weighted sum of such
-counts. It counts them with reach bitsets: O(diameter·E) ORs of
-``_BLOCK``-bit integers per block of ``_BLOCK`` (2048) sources, in
-2·V·``_BLOCK``/8 bytes, about 2 MiB at 4096 vertices and 51 MB at the
-100 000-vertex cap. A graph of up to ``_SMALL`` (1024) vertices always
-takes that route, and a level that adds no pair shows it disconnected. A
-larger graph first runs one BFS from vertex 0, which checks connectivity
-and gives its eccentricity e. When 8·e < V it is shallow and uses
-bitsets; otherwise (long cycles and paths, deep chains) it adds up the
-levels of one BFS per remaining source.
+counts. It runs one BFS from vertex 0, which checks connectivity and gives
+its eccentricity e. When 8·e < V the graph is shallow and it counts all
+pairs with reach bitsets: O(diameter·E) ORs of ``_BLOCK``-bit integers per
+block of ``_BLOCK`` (2048) sources, in about 2·V·``_BLOCK``/8 bytes.
+Otherwise (long cycles and paths, deep chains) it adds up the levels of
+one BFS per remaining source.
 """
 
 from __future__ import annotations
@@ -30,14 +27,9 @@ from operator import add
 from .errors import ConnectivityError, ValidationError
 
 # Sources per block of reach bitsets. Wider blocks mean fewer interpreted
-# ORs but more memory, 2·V·_BLOCK/8 bytes: about 2 MiB at 4096 vertices.
-# There 2048 raises the process's peak by 1.25 MiB over 1024, and 4096
-# would raise it by 4.5 MiB.
+# ORs but more memory, about 2·V·_BLOCK/8 bytes. On mesh(64,64) 2048 raises
+# the process's peak by 1.25 MiB over 1024, and 4096 would raise it by 4.5.
 _BLOCK = 2048
-
-# Up to this many vertices one block of bitsets beats per-source BFS even
-# on paths and cycles, so no BFS picks the method.
-_SMALL = 1024
 
 _DISCONNECTED = "graph is disconnected; transmission is undefined"
 
@@ -162,8 +154,7 @@ def _bitset_distance_counts(g: RootedGraph) -> list[int]:
     level ORs every neighbor's reach into a vertex's own, and the pairs at
     distance d are the rise in set bits. A vertex that holds the whole
     block keeps the one shared ``full`` object, is skipped and adds
-    ``width``; only the others are popcounted. A level that adds no pair
-    raises ``ConnectivityError``.
+    ``width``; only the others are popcounted.
     """
     n = g.vertex_count
     adjacency = g.adjacency
@@ -202,15 +193,14 @@ def _bitset_distance_counts(g: RootedGraph) -> list[int]:
 def distance_histogram(g: RootedGraph) -> DistanceHistogram:
     """Count ordered vertex pairs by hop distance.
 
-    Up to ``_SMALL`` vertices it counts with reach bitsets, which find a
-    disconnected graph themselves. A larger graph runs the BFS from vertex
-    0 first: it alone decides whether an undirected graph is connected,
-    and its eccentricity ``len(levels) - 1`` picks the method (see the
-    module notes). Either way the work is quadratic, and the vertex cap is
-    ``build_expr``'s.
+    The BFS from vertex 0 alone decides whether an undirected graph is
+    connected, and its eccentricity ``len(levels) - 1`` picks the method
+    (see the module notes). Either way the work is quadratic, and the
+    vertex cap is ``build_expr``'s.
     """
     n = g.vertex_count
-    if n <= _SMALL or 8 * (len(levels := bfs_levels(g, 0)) - 1) < n:
+    levels = bfs_levels(g, 0)
+    if 8 * (len(levels) - 1) < n:
         counts = _bitset_distance_counts(g)
     else:
         # No eccentricity exceeds twice vertex 0's: a path through 0 is that short.

@@ -204,8 +204,9 @@ class TestConnectivity:
             vertex_transmission(isolated_root, 1)
 
 
-def _count_bfs_sources(monkeypatch) -> list[int]:
-    """The sources of every ``bfs_levels`` call the oracle makes from now on."""
+@pytest.mark.parametrize("command, calls", [("verify", 7 + 1), ("hist", 7)])
+def test_oracle_runs_one_bfs_per_source(monkeypatch, capsys, command, calls):
+    """No BFS only for connectivity: ``verify`` adds the root's, ``hist`` none."""
     sources = []
 
     def counting(g, source):
@@ -213,58 +214,23 @@ def _count_bfs_sources(monkeypatch) -> list[int]:
         return bfs_levels(g, source)
 
     monkeypatch.setattr(transmit.graph, "bfs_levels", counting)
-    return sources
-
-
-@pytest.mark.parametrize("command, calls", [("verify", 7 + 1), ("hist", 7)])
-def test_oracle_runs_one_bfs_per_source(monkeypatch, capsys, command, calls):
-    """Above ``_SMALL`` vertices a deep graph runs one BFS per source and
-    none only for connectivity: ``verify`` adds the root's, ``hist`` none."""
-    monkeypatch.setattr(transmit.graph, "_SMALL", 6)
-    sources = _count_bfs_sources(monkeypatch)
-    assert main([command, "cycle(7)"]) == 0
-    assert len(sources) == calls
-
-
-@pytest.mark.parametrize("command, calls", [("verify", 1), ("hist", 0)])
-def test_small_graph_runs_no_bfs_for_pair_counts(monkeypatch, capsys, command, calls):
-    """cycle(7) has at most ``_SMALL`` vertices, so its pairs are counted
-    with bitsets alone; ``verify`` still runs the root's BFS."""
-    sources = _count_bfs_sources(monkeypatch)
     assert main([command, "cycle(7)"]) == 0
     assert len(sources) == calls
 
 
 @pytest.mark.parametrize("oracle", [graph_transmission, distance_histogram])
 def test_shallow_graph_needs_only_the_first_bfs(monkeypatch, oracle):
-    """mesh(16,16) above ``_SMALL`` vertices: 8 * ecc(0) = 240 < 256, so
-    pairs are counted with reach bitsets after the BFS from vertex 0."""
-    monkeypatch.setattr(transmit.graph, "_SMALL", 255)
-    sources = _count_bfs_sources(monkeypatch)
+    """mesh(16,16): 8 * ecc(0) = 240 < 256 vertices, so pairs are counted
+    with reach bitsets after the BFS from vertex 0."""
+    sources = []
+
+    def counting(g, source):
+        sources.append(source)
+        return bfs_levels(g, source)
+
+    monkeypatch.setattr(transmit.graph, "bfs_levels", counting)
     oracle(mesh_graph((16, 16)))
     assert sources == [0]
-
-
-@pytest.mark.parametrize("oracle", [graph_transmission, distance_histogram])
-def test_small_graph_needs_no_bfs(monkeypatch, oracle):
-    """mesh(16,16) at the default ``_SMALL``: bitsets alone, no BFS."""
-    sources = _count_bfs_sources(monkeypatch)
-    oracle(mesh_graph((16, 16)))
-    assert sources == []
-
-
-@pytest.mark.parametrize("n", [2, 12, 100])
-def test_method_boundary_on_paths(n):
-    """path(n) is deep: at ``_SMALL = n`` it takes bitsets and no BFS, at
-    ``_SMALL = n - 1`` one BFS per source. Both equal the reference."""
-    g = path_graph(n)
-    reference = reference_distance_counts(g)
-    for small, calls in ((n, 0), (n - 1, n)):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(transmit.graph, "_SMALL", small)
-            sources = _count_bfs_sources(patch)
-            _assert_oracle_counts(g, reference)
-            assert len(sources) == 2 * calls  # one oracle run per function
 
 
 class TestTransmission:
@@ -330,8 +296,6 @@ def _assert_oracle_counts(g: RootedGraph, reference) -> None:
 def test_oracle_matches_reference_counts_on_corpus(monkeypatch):
     # Widths 7 and V - 1 split the sources mid-graph, the last block ragged.
     # Width 7 stops at 512 vertices: on mesh(32,32) it alone takes seconds.
-    # _SMALL = 0 sends every graph through the BFS from vertex 0 and the
-    # method choice of larger graphs, so deep ones take per-source BFS.
     default = transmit.graph._BLOCK
     for text in oracle_corpus():
         expr = parse(text)
@@ -343,10 +307,6 @@ def test_oracle_matches_reference_counts_on_corpus(monkeypatch):
         for block in (default, max(1, n - 1)) + ((7,) if n <= 512 else ()):
             monkeypatch.setattr(transmit.graph, "_BLOCK", block)
             _assert_oracle_counts(g, reference)
-        monkeypatch.setattr(transmit.graph, "_BLOCK", default)
-        monkeypatch.setattr(transmit.graph, "_SMALL", 0)
-        _assert_oracle_counts(g, reference)
-        monkeypatch.undo()
 
 
 @settings(max_examples=150, deadline=None)
@@ -354,25 +314,21 @@ def test_oracle_matches_reference_counts_on_corpus(monkeypatch):
 def test_bitset_counts_match_reference_at_small_width(graph):
     g = graph if isinstance(graph, RootedGraph) else graph_from_edges(*graph, root=0)
     reference = reference_distance_counts(g)
-    # At _SMALL = 0 the BFS from vertex 0 picks the method and checks
-    # connectivity; at the default the bitsets alone do.
-    for small in (transmit.graph._SMALL, 0):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(transmit.graph, "_BLOCK", 7)
-            patch.setattr(transmit.graph, "_SMALL", small)
-            if UNREACHABLE in reference:
-                for oracle in (
-                    graph_transmission,
-                    distance_histogram,
-                    root_transmission,
-                    transmit.graph._bitset_distance_counts,
-                ):
-                    with pytest.raises(ConnectivityError, match=f"^{DISCONNECTED}$"):
-                        oracle(g)
-            else:
-                _assert_oracle_counts(g, reference)
-                expected = [reference[d] for d in range(len(reference))]
-                assert transmit.graph._bitset_distance_counts(g) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transmit.graph, "_BLOCK", 7)
+        if UNREACHABLE in reference:
+            for oracle in (
+                graph_transmission,
+                distance_histogram,
+                root_transmission,
+                transmit.graph._bitset_distance_counts,
+            ):
+                with pytest.raises(ConnectivityError, match=f"^{DISCONNECTED}$"):
+                    oracle(g)
+        else:
+            _assert_oracle_counts(g, reference)
+            expected = [reference[d] for d in range(len(reference))]
+            assert transmit.graph._bitset_distance_counts(g) == expected
 
 
 @settings(max_examples=150, deadline=None)
