@@ -29,6 +29,8 @@ from .errors import ConnectivityError, ValidationError
 # Sources per block of reach bitsets. Wider blocks mean fewer interpreted
 # ORs but more memory, about 2·V·_BLOCK/8 bytes. On mesh(64,64) 2048 raises
 # the process's peak by 1.25 MiB over 1024, and 4096 would raise it by 4.5.
+# At the 100 000-vertex cap, on mesh(10,10,10,10,10), the counting raises
+# the peak by 59 MiB, against 32 MiB at 1024.
 _BLOCK = 2048
 
 _DISCONNECTED = "graph is disconnected; transmission is undefined"
