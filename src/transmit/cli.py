@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import click
 
+from . import __version__
 from .builders import DEFAULT_VERTEX_CAP, build_expr
 from .dsl import parse
 from .errors import (
@@ -142,7 +143,7 @@ def _report_rows(report: TopologyReport) -> list[tuple[str, str]]:
 
 
 @click.group()
-@click.version_option(package_name="transmit", prog_name="transmit")
+@click.version_option(__version__, prog_name="transmit")
 def cli():
     """Exact transmission calculator for composed network topologies."""
 

@@ -352,6 +352,9 @@ class TestUsage:
         code, _, err = run(capsys, "eval", "star(2)", "--format", "xml")
         assert code == 1
 
+    def test_version_from_a_checkout(self, capsys):
+        assert run(capsys, "--version") == (0, "transmit, version 0.1.0\n", "")
+
 
 def test_redirected_streams_are_not_kept_alive():
     refs = []
