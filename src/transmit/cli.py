@@ -66,31 +66,6 @@ def _decimal_display(value: Fraction) -> str:
         return str(decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator))
 
 
-def _rational_text(value: Fraction | None) -> str:
-    if value is None:
-        return "-"
-    if value.denominator == 1:
-        return decimal_text(value.numerator)
-    return f"{_rational_cell(value)} ({_decimal_display(value)})"
-
-
-def _rational_cell(value: Fraction | None) -> str:
-    """Exact single-cell form for CSV."""
-    if value is None:
-        return ""
-    return f"{decimal_text(value.numerator)}/{decimal_text(value.denominator)}"
-
-
-def _rational_json(value: Fraction | None) -> dict | None:
-    if value is None:
-        return None
-    return {
-        "num": decimal_text(value.numerator),
-        "den": decimal_text(value.denominator),
-        "display": _decimal_display(value),
-    }
-
-
 def _parse_fraction(text: str, option: str) -> Fraction:
     try:
         value = Fraction(text)
@@ -101,45 +76,65 @@ def _parse_fraction(text: str, option: str) -> Fraction:
     return value
 
 
-def _echo_table(rows: list[tuple[str, ...]]) -> None:
-    """Left-aligned columns sized to content; trailing spaces trimmed."""
+#: What a missing value prints as, per format.
+_NONE_CELL = {"table": "-", "csv": "", "json": None}
+
+
+def _cell(value: int | str | Fraction | None, fmt: str) -> str | dict | None:
+    """One value as a cell of ``fmt``; integers print in full at any length.
+
+    A rational prints as ``num/den (display)`` in a table, or as plain digits
+    when its denominator is 1; as ``num/den`` in CSV; and as a
+    ``{"num", "den", "display"}`` object in JSON. A ``bool`` is an ``int`` here,
+    so callers pass booleans as their own text or JSON value.
+    """
+    if value is None:
+        return _NONE_CELL[fmt]
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return decimal_text(value)
+    num, den = decimal_text(value.numerator), decimal_text(value.denominator)
+    if fmt == "csv":
+        return f"{num}/{den}"
+    if fmt == "json":
+        return {"num": num, "den": den, "display": _decimal_display(value)}
+    return num if value.denominator == 1 else f"{num}/{den} ({_decimal_display(value)})"
+
+
+def _emit(fmt: str, output) -> None:
+    """Print ``output`` in ``fmt``.
+
+    For JSON, ``output`` is the payload, its values already cells. Otherwise it
+    is a list of rows of raw values, printed as CSV or as a table: left-aligned
+    columns sized to content, trailing spaces trimmed.
+    """
+    if fmt == "json":
+        click.echo(json.dumps(output, indent=2), file=sys.stdout)
+        return
+    rows = [[_cell(value, fmt) for value in row] for row in output]
+    if fmt == "csv":
+        buffer = io.StringIO()
+        csv_module.writer(buffer, lineterminator="\n").writerows(rows)
+        click.echo(buffer.getvalue(), nl=False, file=sys.stdout)
+        return
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     for row in rows:
         line = "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
         click.echo(line.rstrip(), file=sys.stdout)
 
 
-def _echo_csv(rows: list[tuple[str, ...]]) -> None:
-    buffer = io.StringIO()
-    writer = csv_module.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    click.echo(buffer.getvalue(), nl=False, file=sys.stdout)
-
-
-def _report_json(report: TopologyReport) -> dict:
+def _report_fields(report: TopologyReport) -> dict[str, int | str | Fraction | None]:
+    """Every report field by name, in output order."""
     return {
         "expr": report.expression_text,
-        "size": decimal_text(report.triple.size),
-        "delta": decimal_text(report.triple.delta),
-        "delta0": decimal_text(report.triple.delta0),
-        "mean_all": _rational_json(report.mean_all),
-        "mean_distinct": _rational_json(report.mean_distinct),
-        "expected_messages": _rational_json(report.expected_messages),
+        "size": report.triple.size,
+        "delta": report.triple.delta,
+        "delta0": report.triple.delta0,
+        "mean_all": report.mean_all,
+        "mean_distinct": report.mean_distinct,
+        "expected_messages": report.expected_messages,
     }
-
-
-def _report_rows(report: TopologyReport) -> list[tuple[str, str]]:
-    rows = [
-        ("expr", report.expression_text),
-        ("size", decimal_text(report.triple.size)),
-        ("delta", decimal_text(report.triple.delta)),
-        ("delta0", decimal_text(report.triple.delta0)),
-        ("mean_all", _rational_text(report.mean_all)),
-        ("mean_distinct", _rational_text(report.mean_distinct)),
-    ]
-    if report.expected_messages is not None:
-        rows.append(("expected_messages", _rational_text(report.expected_messages)))
-    return rows
 
 
 @click.group()
@@ -164,22 +159,17 @@ def eval_cmd(expr_text: str, rate: str | None, time_: str | None, fmt: str) -> i
         _parse_fraction(rate, "--rate") if rate is not None else None,
         _parse_fraction(time_, "--time") if time_ is not None else None,
     )
+    fields = _report_fields(report)
     if fmt == "json":
-        click.echo(json.dumps(_report_json(report), indent=2), file=sys.stdout)
+        output = {name: _cell(value, fmt) for name, value in fields.items()}
     elif fmt == "csv":
-        header = ("expr", "size", "delta", "delta0", "mean_all", "mean_distinct", "expected_messages")
-        row = (
-            report.expression_text,
-            decimal_text(report.triple.size),
-            decimal_text(report.triple.delta),
-            decimal_text(report.triple.delta0),
-            _rational_cell(report.mean_all),
-            _rational_cell(report.mean_distinct),
-            _rational_cell(report.expected_messages),
-        )
-        _echo_csv([header, row])
+        output = [fields.keys(), fields.values()]
     else:
-        _echo_table(_report_rows(report))
+        # The table leaves out the expected message volume when none was asked for.
+        if report.expected_messages is None:
+            del fields["expected_messages"]
+        output = fields.items()
+    _emit(fmt, output)
     return 0
 
 
@@ -201,11 +191,11 @@ def verify(expr_text: str, max_vertices: int) -> int:
     rows = [
         ("expr", expr_text, ""),
         ("", "closed-form", "oracle"),
-        ("size", decimal_text(closed.size), decimal_text(oracle.size)),
-        ("delta", decimal_text(closed.delta), decimal_text(oracle.delta)),
-        ("delta0", decimal_text(closed.delta0), decimal_text(oracle.delta0)),
+        ("size", closed.size, oracle.size),
+        ("delta", closed.delta, oracle.delta),
+        ("delta0", closed.delta0, oracle.delta0),
     ]
-    _echo_table(rows)
+    _emit("table", rows)
     if closed == oracle:
         click.echo("PASS", file=sys.stdout)
         return 0
@@ -235,34 +225,14 @@ def compare(expr_texts: tuple[str, ...], sort_key: str, fmt: str) -> int:
         reports.append(summarize(text, triple))
     key = "mean_distinct" if sort_key == "mean" else sort_key
     ranked = compare_rank(reports, key)
-
+    fields = [{"rank": rank, **_report_fields(r)} for rank, r in enumerate(ranked, 1)]
     if fmt == "json":
-        payload = {
-            "sort": sort_key,
-            "reports": [
-                dict(rank=decimal_text(i + 1), **_report_json(r)) for i, r in enumerate(ranked)
-            ],
-        }
-        click.echo(json.dumps(payload, indent=2), file=sys.stdout)
-        return 0
-    header = ("rank", "expr", "size", "delta", "delta0", "mean_distinct")
-    rows = [header]
-    for i, r in enumerate(ranked):
-        cell = _rational_cell if fmt == "csv" else _rational_text
-        rows.append(
-            (
-                decimal_text(i + 1),
-                r.expression_text,
-                decimal_text(r.triple.size),
-                decimal_text(r.triple.delta),
-                decimal_text(r.triple.delta0),
-                cell(r.mean_distinct),
-            )
-        )
-    if fmt == "csv":
-        _echo_csv(rows)
+        cells = [{name: _cell(value, fmt) for name, value in f.items()} for f in fields]
+        output = {"sort": sort_key, "reports": cells}
     else:
-        _echo_table(rows)
+        columns = ("rank", "expr", "size", "delta", "delta0", "mean_distinct")
+        output = [columns, *([f[name] for name in columns] for f in fields)]
+    _emit(fmt, output)
     return 0
 
 
@@ -273,39 +243,28 @@ def compare(expr_texts: tuple[str, ...], sort_key: str, fmt: str) -> int:
 def series(arity: int, terms: int, fmt: str) -> int:
     """Generating-series coefficients vs the tree closed form (self-test)."""
     coefficients = gf_series(arity, terms)
-    rows = []
-    all_match = True
-    for k, coefficient in enumerate(coefficients.terms):
-        tree_delta = tree_triple(arity, k + 1).delta
-        match = coefficient == tree_delta
-        all_match = all_match and match
-        rows.append((k, coefficient, tree_delta, match))
-
+    rows = [(k, c, tree_triple(arity, k + 1).delta) for k, c in enumerate(coefficients.terms)]
+    matches = [c == tree_delta for _, c, tree_delta in rows]
     if fmt == "json":
-        payload = {
-            "arity": decimal_text(arity),
+        # "recurrence_delta" holds the tree closed form's delta; the key is kept
+        # from when a recurrence computed it, so the JSON bytes stay the same.
+        output = {
+            "arity": _cell(arity, fmt),
             "terms": [
                 {
-                    "k": decimal_text(k),
-                    "coefficient": decimal_text(c),
-                    "recurrence_delta": decimal_text(r),
-                    "match": m,
+                    "k": _cell(k, fmt),
+                    "coefficient": _cell(c, fmt),
+                    "recurrence_delta": _cell(tree_delta, fmt),
+                    "match": match,
                 }
-                for k, c, r, m in rows
+                for (k, c, tree_delta), match in zip(rows, matches)
             ],
         }
-        click.echo(json.dumps(payload, indent=2), file=sys.stdout)
     else:
-        text_rows = [("k", "coefficient", "tree_delta", "match")]
-        for k, c, r, m in rows:
-            text_rows.append(
-                (decimal_text(k), decimal_text(c), decimal_text(r), "yes" if m else "NO")
-            )
-        if fmt == "csv":
-            _echo_csv(text_rows)
-        else:
-            _echo_table(text_rows)
-    return 0 if all_match else 2
+        output = [("k", "coefficient", "tree_delta", "match")]
+        output += [(*row, "yes" if match else "NO") for row, match in zip(rows, matches)]
+    _emit(fmt, output)
+    return 0 if all(matches) else 2
 
 
 @cli.command()
@@ -317,25 +276,15 @@ def hist(expr_text: str, max_vertices: int, fmt: str) -> int:
     graph = build_expr(parse(expr_text), max_vertices)
     histogram = distance_histogram(graph)
     delta = histogram.transmission()
-
     if fmt == "json":
-        payload = {
+        output = {
             "expr": expr_text,
-            "counts": {
-                decimal_text(d): decimal_text(c) for d, c in histogram.counts.items()
-            },
-            "delta": decimal_text(delta),
+            "counts": {_cell(d, fmt): _cell(c, fmt) for d, c in histogram.counts.items()},
+            "delta": _cell(delta, fmt),
         }
-        click.echo(json.dumps(payload, indent=2), file=sys.stdout)
-        return 0
-    rows = [("distance", "pairs")]
-    for d, c in histogram.counts.items():
-        rows.append((decimal_text(d), decimal_text(c)))
-    rows.append(("delta", decimal_text(delta)))
-    if fmt == "csv":
-        _echo_csv(rows)
     else:
-        _echo_table(rows)
+        output = [("distance", "pairs"), *histogram.counts.items(), ("delta", delta)]
+    _emit(fmt, output)
     return 0
 
 
@@ -351,13 +300,10 @@ def main(argv: list[str] | None = None) -> int:
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", file=sys.stderr)
         return 1
-    except TopologyParseError as exc:
-        click.echo(f"error: {exc}", file=sys.stderr)
-        return 1
     except ResourceLimitError as exc:
         click.echo(f"error: {exc}", file=sys.stderr)
         return 3
-    except TransmitError as exc:
+    except TransmitError as exc:  # parse and validation errors
         click.echo(f"error: {exc}", file=sys.stderr)
         return 1
     except click.exceptions.Abort:

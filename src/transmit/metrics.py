@@ -13,8 +13,6 @@ from fractions import Fraction
 from .errors import ValidationError
 from .formulas import TransmissionTriple
 
-SORT_KEYS = ("mean_distinct", "delta", "size")
-
 
 @dataclass(frozen=True)
 class TopologyReport:
@@ -51,6 +49,14 @@ def summarize(
     return TopologyReport(expression_text, triple, mean_all, mean_distinct, expected)
 
 
+#: Exact ranking key of each ``compare_rank`` sort name.
+SORT_KEYS = {
+    "mean_distinct": lambda r: r.mean_distinct if r.mean_distinct is not None else Fraction(0),
+    "delta": lambda r: r.triple.delta,
+    "size": lambda r: r.triple.size,
+}
+
+
 def compare_rank(reports: list[TopologyReport], key: str) -> list[TopologyReport]:
     """Stable ascending sort by an exact key; ties keep input order.
 
@@ -59,12 +65,5 @@ def compare_rank(reports: list[TopologyReport], key: str) -> list[TopologyReport
     if not reports:
         raise ValidationError("nothing to rank")
     if key not in SORT_KEYS:
-        raise ValidationError(f"sort key must be one of {SORT_KEYS}, got {key!r}")
-    if key == "mean_distinct":
-        return sorted(
-            reports,
-            key=lambda r: r.mean_distinct if r.mean_distinct is not None else Fraction(0),
-        )
-    if key == "delta":
-        return sorted(reports, key=lambda r: r.triple.delta)
-    return sorted(reports, key=lambda r: r.triple.size)
+        raise ValidationError(f"sort key must be one of {tuple(SORT_KEYS)}, got {key!r}")
+    return sorted(reports, key=SORT_KEYS[key])

@@ -103,3 +103,15 @@ class TestCompareRank:
         only = report_for("star(1)", TransmissionTriple(2, 2, 1))
         with pytest.raises(ValidationError):
             compare_rank([only], "diameter")
+
+    def test_unknown_key_lists_the_keys(self):
+        only = report_for("star(1)", TransmissionTriple(2, 2, 1))
+        expected = "sort key must be one of ('mean_distinct', 'delta', 'size'), got 'diameter'"
+        with pytest.raises(ValidationError) as info:
+            compare_rank([only], "diameter")
+        assert str(info.value) == expected
+
+    def test_by_size(self):
+        star = report_for("star(4)", TransmissionTriple(5, 32, 4))
+        cycle = report_for("cycle(3)", TransmissionTriple(3, 6, 2))
+        assert compare_rank([star, cycle], "size") == [cycle, star]
