@@ -16,9 +16,9 @@ reproducible:
 - attach: the new pendant root is 0, old vertices shift up by one.
 
 Each builder writes the strictly increasing adjacency rows of its graph
-straight from these rules, and each combinator reads its parts' rows, so
-building costs O(V+E) per level. ``RootedGraph`` validates every graph,
-the intermediate ones too.
+straight from these rules and returns ``(rows, root)``; each combinator
+reads its parts' pairs, so building costs O(V+E) per level. Only
+``build_expr`` makes, and so validates, a ``RootedGraph``.
 """
 
 from __future__ import annotations
@@ -35,27 +35,26 @@ from .graph import RootedGraph
 DEFAULT_VERTEX_CAP = 100_000
 
 
-def complete_graph(n: int) -> RootedGraph:
+def complete_graph(n: int) -> tuple:
     everyone = tuple(range(n))
-    return RootedGraph(n, tuple(everyone[:i] + everyone[i + 1:] for i in range(n)), 0)
+    return tuple(everyone[:i] + everyone[i + 1:] for i in range(n)), 0
 
 
-def cycle_graph(n: int) -> RootedGraph:
+def cycle_graph(n: int) -> tuple:
     rows = ((1, n - 1),) + tuple((i - 1, i + 1) for i in range(1, n - 1)) + ((0, n - 2),)
-    return RootedGraph(n, rows, 0)
+    return rows, 0
 
 
-def star_graph(n: int) -> RootedGraph:
+def star_graph(n: int) -> tuple:
     """Star with n leaves (n + 1 vertices), rooted at the center."""
-    return RootedGraph(n + 1, (tuple(range(1, n + 1)),) + ((0,),) * n, 0)
+    return (tuple(range(1, n + 1)),) + ((0,),) * n, 0
 
 
-def path_graph(n: int) -> RootedGraph:
-    rows = tuple(tuple(j for j in (i - 1, i + 1) if 0 <= j < n) for i in range(n))
-    return RootedGraph(n, rows, 0)
+def path_graph(n: int) -> tuple:
+    return tuple(tuple(j for j in (i - 1, i + 1) if 0 <= j < n) for i in range(n)), 0
 
 
-def mesh_graph(dims: tuple[int, ...]) -> RootedGraph:
+def mesh_graph(dims: tuple[int, ...]) -> tuple:
     """The right fold cart(path(R_1), cart(path(R_2), ...)), which is row-major.
 
     Sides of 1 are left out: a product with a one-vertex path keeps the
@@ -65,7 +64,7 @@ def mesh_graph(dims: tuple[int, ...]) -> RootedGraph:
     return reduce(lambda rest, g: cartesian_graphs(g, rest), map(path_graph, reversed(kept)))
 
 
-def tree_graph(arity: int, depth: int) -> RootedGraph:
+def tree_graph(arity: int, depth: int) -> tuple:
     """Perfect tree in breadth-first numbering: a^j vertices at depth j.
 
     Vertex v's parent is (v - 1) // arity and its children, if it is one of
@@ -76,38 +75,38 @@ def tree_graph(arity: int, depth: int) -> RootedGraph:
     rows += [()] * (dsl.tree_size(arity, depth) - internal)
     for v in range(1, len(rows)):
         rows[v] = ((v - 1) // arity,) + rows[v]
-    return RootedGraph(len(rows), tuple(rows), 0)
+    return tuple(rows), 0
 
 
-def wedge_graphs(parts: list[RootedGraph]) -> RootedGraph:
+def wedge_graphs(parts: list[tuple]) -> tuple:
     """Glue all parts at their roots; the shared root becomes vertex 0."""
     root_row = []
     rows = []
     offset = 1
-    for part in parts:
-        root = part.root
+    for adjacency, root in parts:
         # Non-root vertex w moves to offset + w, less one above the root.
         # That keeps rows increasing; the root, now 0, goes first.
         moved = [
             tuple([offset + w - (w > root) for w in row if w != root])
-            for row in part.adjacency
+            for row in adjacency
         ]
-        for w in part.adjacency[root]:
+        for w in adjacency[root]:
             moved[w] = (0,) + moved[w]
         root_row += moved.pop(root)
         rows += moved
-        offset += part.vertex_count - 1
-    return RootedGraph(offset, (tuple(root_row),) + tuple(rows), 0)
+        offset += len(adjacency) - 1
+    return (tuple(root_row),) + tuple(rows), 0
 
 
-def _product_graphs(g: RootedGraph, h: RootedGraph, joined: range | tuple[int]) -> RootedGraph:
+def _product_graphs(g: tuple, h: tuple, joined: range | tuple[int]) -> tuple:
     """One copy of h per vertex of g; g's edges join the copies at each
     vertex of h in ``joined``."""
-    nh = h.vertex_count
+    (g_rows, g_root), (h_rows, h_root) = g, h
+    nh = len(h_rows)
     rows = []
-    for gi, g_row in enumerate(g.adjacency):
+    for gi, g_row in enumerate(g_rows):
         base = gi * nh
-        copy = [tuple([base + w for w in h_row]) for h_row in h.adjacency]
+        copy = [tuple([base + w for w in h_row]) for h_row in h_rows]
         # g's neighbors below gi sit in earlier copies, the rest in later
         # ones, so a joined row stays increasing.
         lower = [u * nh for u in g_row if u < gi]
@@ -115,33 +114,33 @@ def _product_graphs(g: RootedGraph, h: RootedGraph, joined: range | tuple[int]) 
         for hj in joined:
             copy[hj] = tuple([u + hj for u in lower]) + copy[hj] + tuple([u + hj for u in upper])
         rows += copy
-    return RootedGraph(g.vertex_count * nh, tuple(rows), g.root * nh + h.root)
+    return tuple(rows), g_root * nh + h_root
 
 
-def cartesian_graphs(g: RootedGraph, h: RootedGraph) -> RootedGraph:
+def cartesian_graphs(g: tuple, h: tuple) -> tuple:
     """Cartesian product: g's edges join the copies of h at every vertex."""
-    return _product_graphs(g, h, range(h.vertex_count))
+    return _product_graphs(g, h, range(len(h[0])))
 
 
-def rooted_product_graphs(g: RootedGraph, h: RootedGraph) -> RootedGraph:
+def rooted_product_graphs(g: tuple, h: tuple) -> tuple:
     """One copy of h per vertex of g; g's edges join the copies at h's root."""
-    return _product_graphs(g, h, (h.root,))
+    return _product_graphs(g, h, (h[1],))
 
 
-def attach_root(g: RootedGraph) -> RootedGraph:
+def attach_root(g: tuple) -> tuple:
     """Add a pendant vertex at the root and make the pendant the new root."""
-    old_root = g.root + 1
-    rows = [(old_root,)] + [tuple([w + 1 for w in row]) for row in g.adjacency]
-    rows[old_root] = (0,) + rows[old_root]
-    return RootedGraph(len(rows), tuple(rows), 0)
+    adjacency, root = g
+    rows = [(root + 1,)] + [tuple([w + 1 for w in row]) for row in adjacency]
+    rows[root + 1] = (0,) + rows[root + 1]
+    return tuple(rows), 0
 
 
-def power_graph(g: RootedGraph, k: int) -> RootedGraph:
-    """k-fold rooted product of g with itself."""
-    result = g
-    for _ in range(k - 1):
-        result = rooted_product_graphs(result, g)
-    return result
+def power_graph(g: tuple, k: int) -> tuple:
+    """k-fold rooted product of g with itself. One vertex is its own power,
+    and the cap lets it through at any k, so no product is run for it."""
+    if len(g[0]) == 1:
+        return g
+    return reduce(rooted_product_graphs, [g] * (k - 1), g)
 
 
 # One builder per node class, looked up by name at call time like the
@@ -161,16 +160,17 @@ _GRAPH_OPS = {
 
 
 def build_expr(expr: TopologyExpr, max_vertices: int = DEFAULT_VERTEX_CAP) -> RootedGraph:
-    """Materialize a validated expression, bottom-up.
+    """Materialize a validated expression, bottom-up, as one validated graph.
 
     The exact size is computed up front, so an oversized expression fails
     fast with the estimate attached. This is the package's only vertex
     cap: sizes only grow towards the root, so no intermediate graph is
-    larger than the final one, and the oracle measures only graphs built
-    here.
+    larger than the final one. The oracle measures only graphs built
+    here, and only the final one is validated.
     """
     dsl.require_valid(expr)
     size = dsl.estimated_size(expr)
     if size > max_vertices:
         raise ResourceLimitError(size, max_vertices)
-    return dsl.fold(expr, _GRAPH_OPS)
+    rows, root = dsl.fold(expr, _GRAPH_OPS)
+    return RootedGraph(len(rows), rows, root)

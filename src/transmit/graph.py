@@ -2,9 +2,9 @@
 
 Everything here is deliberately simple: the BFS oracle is the independent
 check for every closed-form transmission formula, so it must stay obviously
-correct. A graph is its strictly increasing adjacency rows, written by
-:mod:`transmit.builders`; it is validated on construction, immutable after
-it and safe to share.
+correct. A graph is its strictly increasing adjacency rows, validated on
+construction, immutable after it and safe to share. :mod:`transmit.builders`
+makes one per expression, from the bare rows its builders pass around.
 
 Costs: validating a graph is O(V+E) time and O(V) extra memory. One BFS
 is O(V+E), returns how many vertices lie at each distance, and stops at the

@@ -7,13 +7,19 @@ import math
 from collections import Counter
 
 from transmit import dsl
-from transmit.dsl import TopologyExpr
+from transmit.builders import build_expr
+from transmit.dsl import TopologyExpr, parse
 from transmit.errors import ValidationError
 from transmit.formulas import TransmissionTriple
 from transmit.graph import RootedGraph, graph_transmission, root_transmission
 
 #: Reference distance of a vertex no path reaches.
 UNREACHABLE = -1
+
+
+def built(text: str) -> RootedGraph:
+    """The validated graph of an expression's text, as the oracle gets it."""
+    return build_expr(parse(text))
 
 
 def oracle_triple(g: RootedGraph) -> TransmissionTriple:

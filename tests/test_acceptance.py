@@ -15,7 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import transmit.cli
-from transmit.builders import build_expr, complete_graph, mesh_graph, power_graph, tree_graph, wedge_graphs
+from transmit.builders import build_expr
 from transmit.cli import main
 from transmit.dsl import estimated_size, parse, validate
 from transmit.formulas import (
@@ -30,7 +30,7 @@ from transmit.formulas import (
 from transmit.metrics import summarize
 
 from expr_corpus import PROPERTY_COUNT, PROPERTY_SEED, oracle_corpus, random_expressions
-from oracle_util import oracle_triple
+from oracle_util import built, oracle_triple
 from recurrences import power_coefficients, power_recurrence, tree_recurrence
 
 
@@ -124,22 +124,21 @@ def test_criterion_6_spot_values():
         if (measured.delta, measured.delta0) != (expected_delta, expected_delta0):
             failures.append(f"{label}: oracle says {measured}")
 
-    check("binary tree depth 2", tree_graph(2, 2), 96, 10)
+    check("binary tree depth 2", built("tree(2,2)"), 96, 10)
     if tree_triple(2, 2).delta != 96 or tree_triple(2, 2).delta0 != 10:
         failures.append("tree_triple(2,2) drifted from 96/10")
 
-    check("mesh 2x3", mesh_graph((2, 3)), 50, 9)
+    check("mesh 2x3", built("mesh(2,3)"), 50, 9)
     if evaluate_expr(parse("mesh(2,3)")).delta != 50:
         failures.append("mesh(2,3) closed form drifted from 50")
 
-    check("edge cubed", power_graph(complete_graph(2), 3), 136, 12)
+    check("edge cubed", built("power(complete(2),3)"), 136, 12)
     if evaluate_expr(parse("power(complete(2),3)")).delta != 136:
         failures.append("power(complete(2),3) closed form drifted from 136")
 
     for n in range(1, 11):
-        star = wedge_graphs([complete_graph(2)] * n)
-        check(f"wedge of {n} edges", star, 2 * n**2, n)
         text = "wedge(" + ",".join(["complete(2)"] * n) + ")"
+        check(f"wedge of {n} edges", built(text), 2 * n**2, n)
         if evaluate_expr(parse(text)).delta != 2 * n**2:
             failures.append(f"{text}: closed form drifted from {2 * n**2}")
     _report("criterion 6: oracle-verified spot values", failures)

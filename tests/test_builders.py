@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +17,8 @@ from transmit.builders import (
     complete_graph,
     cycle_graph,
     mesh_graph,
-    path_graph,
     power_graph,
     rooted_product_graphs,
-    star_graph,
-    tree_graph,
     wedge_graphs,
 )
 from transmit.dsl import (
@@ -48,6 +46,7 @@ from transmit.graph import (
 from expr_corpus import oracle_corpus, random_expressions
 from expr_strategies import buildable_expressions
 from oracle_util import (
+    built,
     edges,
     graph_from_edges,
     oracle_triple,
@@ -59,46 +58,56 @@ from oracle_util import (
     reference_wedge,
 )
 
-K2 = complete_graph(2)
+K2 = built("complete(2)")
+
+
+def _validated(pair) -> RootedGraph:
+    """A builder's ``(rows, root)`` as a validated graph."""
+    rows, root = pair
+    return RootedGraph(len(rows), rows, root)
+
+
+def _pair(g: RootedGraph):
+    return g.adjacency, g.root
 
 
 class TestPrimitives:
     def test_star_shape(self):
-        g = star_graph(3)
+        g = built("star(3)")
         assert g.vertex_count == 4
         assert g.root == 0
         assert edges(g) == [(0, 1), (0, 2), (0, 3)]
 
     def test_star_center_degree(self):
         for n in (1, 4, 9):
-            assert len(star_graph(n).adjacency[0]) == n
+            assert len(built(f"star({n})").adjacency[0]) == n
 
     def test_tree_bfs_numbering(self):
-        g = tree_graph(2, 2)
+        g = built("tree(2,2)")
         assert g.vertex_count == 7
         assert edges(g) == [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]
         assert g.root == 0
 
     def test_tree_level_sizes(self):
-        assert bfs_levels(tree_graph(3, 3), 0) == [1, 3, 9, 27]
+        assert bfs_levels(built("tree(3,3)"), 0) == [1, 3, 9, 27]
 
     def test_degenerate_tree_is_path(self):
-        g = tree_graph(1, 4)
-        assert edges(g) == edges(path_graph(5))
+        g = built("tree(1,4)")
+        assert edges(g) == edges(built("path(5)"))
 
     def test_mesh_2x3(self):
-        g = mesh_graph((2, 3))
+        g = built("mesh(2,3)")
         assert g.vertex_count == 6
         assert len(edges(g)) == 7
         assert edges(g) == [(0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (4, 5)]
         assert graph_transmission(g) == 50
 
     def test_mesh_corner_degree(self):
-        g = mesh_graph((1, 3, 4))
+        g = built("mesh(1,3,4)")
         assert len(g.adjacency[0]) == 2  # only the two axes with room to move
 
     def test_cycle_shape(self):
-        g = cycle_graph(4)
+        g = built("cycle(4)")
         assert edges(g) == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
     def test_parameter_minimums(self):
@@ -120,26 +129,26 @@ class TestPrimitives:
 class TestWedge:
     def test_single_part_renumbers_root_to_zero(self):
         part = RootedGraph(3, ((1,), (0, 2), (1,)), root=1)
-        g = wedge_graphs([part])
+        g = _validated(wedge_graphs([_pair(part)]))
         assert g.root == 0
         assert g.vertex_count == 3
         assert edges(g) == [(0, 1), (0, 2)]
         assert oracle_triple(g) == oracle_triple(part)
 
     def test_two_edges_make_a_path(self):
-        g = wedge_graphs([K2, K2])
+        g = built("wedge(complete(2),complete(2))")
         assert g.vertex_count == 3
         assert edges(g) == [(0, 1), (0, 2)]
         assert g.root == 0
 
     def test_three_edges_make_a_star(self):
-        g = wedge_graphs([K2, K2, K2])
-        assert edges(g) == edges(star_graph(3))
+        g = built("wedge(complete(2),complete(2),complete(2))")
+        assert edges(g) == edges(built("star(3)"))
         assert graph_transmission(g) == 18
 
     def test_size_identity(self):
-        parts = [star_graph(2), cycle_graph(5), tree_graph(2, 1)]
-        g = wedge_graphs(parts)
+        parts = [built("star(2)"), built("cycle(5)"), built("tree(2,1)")]
+        g = built("wedge(star(2),cycle(5),tree(2,1))")
         assert g.vertex_count == sum(p.vertex_count for p in parts) - 2
 
     def test_empty_rejected(self):
@@ -149,26 +158,25 @@ class TestWedge:
 
 class TestCartesianProduct:
     def test_k2_by_k2_is_a_four_cycle(self):
-        g = cartesian_graphs(K2, K2)
+        g = _validated(cartesian_graphs(_pair(K2), _pair(K2)))
         assert edges(g) == [(0, 1), (0, 2), (1, 3), (2, 3)]
         assert g.root == 0
 
 
 class TestRootedProduct:
     def test_k2_by_k2_is_path_of_four(self):
-        g = rooted_product_graphs(K2, K2)
+        g = built("rprod(complete(2),complete(2))")
         assert g.vertex_count == 4
         assert edges(g) == [(0, 1), (0, 2), (2, 3)]
         assert graph_transmission(g) == 20
 
     def test_identity_on_either_side(self):
-        single = RootedGraph(1, ((),), 0)
-        h = cycle_graph(5)
-        assert oracle_triple(rooted_product_graphs(h, single)) == oracle_triple(h)
-        assert oracle_triple(rooted_product_graphs(single, h)) == oracle_triple(h)
+        h = built("cycle(5)")
+        assert oracle_triple(built("rprod(cycle(5),complete(1))")) == oracle_triple(h)
+        assert oracle_triple(built("rprod(complete(1),cycle(5))")) == oracle_triple(h)
 
     def test_size_is_product(self):
-        g = rooted_product_graphs(cycle_graph(4), star_graph(2))
+        g = built("rprod(cycle(4),star(2))")
         assert g.vertex_count == 12
 
     def test_cap(self):
@@ -178,18 +186,18 @@ class TestRootedProduct:
 
 class TestAttachRoot:
     def test_single_vertex_becomes_edge(self):
-        g = attach_root(RootedGraph(1, ((),), 0))
+        g = built("attach(complete(1))")
         assert g.vertex_count == 2
         assert edges(g) == [(0, 1)]
         assert g.root == 0
 
     def test_twice_gives_path_rooted_at_endpoint(self):
-        g = attach_root(attach_root(RootedGraph(1, ((),), 0)))
+        g = built("attach(attach(complete(1)))")
         assert edges(g) == [(0, 1), (1, 2)]
         assert g.root == 0
 
     def test_on_center_rooted_star(self):
-        g = attach_root(star_graph(2))
+        g = built("attach(star(2))")
         assert g.vertex_count == 4
         assert root_transmission(g) == 5  # old root transmission + old size
 
@@ -200,10 +208,11 @@ class TestPower:
         assert power_graph(g, 1) is g
 
     def test_square_of_edge_is_path_of_four(self):
-        assert edges(power_graph(K2, 2)) == edges(rooted_product_graphs(K2, K2))
+        square = built("power(complete(2),2)")
+        assert edges(square) == edges(built("rprod(complete(2),complete(2))"))
 
     def test_cube_of_edge(self):
-        g = power_graph(K2, 3)
+        g = built("power(complete(2),3)")
         assert g.vertex_count == 8
         assert graph_transmission(g) == 136
 
@@ -212,10 +221,30 @@ class TestPower:
             build_expr(Power(Complete(2), 30), max_vertices=100_000)
         assert info.value.estimated_size == 2**30
 
+    @pytest.mark.parametrize(
+        "text",
+        ["power(complete(1),100000000)", "power(wedge(complete(1),complete(1)),100000000)"],
+    )
+    def test_one_vertex_base_runs_no_product(self, monkeypatch, text):
+        # size 1 passes the cap at any exponent, so running k - 1 products
+        # would hang; the counter fails fast instead
+        calls = []
+
+        def counting(g, h):
+            calls.append(1)
+            if len(calls) > 3:
+                raise AssertionError("rooted product of a one-vertex power")
+            return rooted_product_graphs(g, h)
+
+        monkeypatch.setattr(transmit.builders, "rooted_product_graphs", counting)
+        g = build_expr(parse(text))
+        assert calls == []
+        assert (g.vertex_count, g.adjacency, g.root) == (1, ((),), 0)
+
 
 class TestBuildExpr:
     def test_examples(self):
-        assert edges(build_expr(parse("complete(3)"))) == edges(complete_graph(3))
+        assert edges(build_expr(parse("complete(3)"))) == edges(_validated(complete_graph(3)))
         assert build_expr(parse("wedge(complete(2),complete(2))")).vertex_count == 3
         assert edges(build_expr(parse("power(complete(2),2)"))) == [(0, 1), (0, 2), (2, 3)]
 
@@ -239,10 +268,50 @@ class TestBuildExpr:
             assert g.vertex_count == estimated_size(expr)
 
 
-def recursive_tree(arity: int, depth: int) -> RootedGraph:
+def test_build_expr_validates_only_the_final_graph(monkeypatch):
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return RootedGraph(*args)
+
+    monkeypatch.setattr(transmit.builders, "RootedGraph", counting)
+    for text in oracle_corpus():
+        made.clear()
+        build_expr(parse(text))
+        assert len(made) == 1, text
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        # on an edge away from the part's root: the outer wedge rewrites the
+        # root's edges from the root's own row, so a fault on one of those
+        # would be repaired before the final validation
+        (lambda rows: rows[:3] + (rows[3][1:],) + rows[4:], "edge 2-3 is not symmetric"),
+        (
+            lambda rows: rows[:2] + (rows[2][::-1],) + rows[3:],
+            "adjacency[2] is not strictly increasing",
+        ),
+    ],
+    ids=["dropped back edge", "unsorted row"],
+)
+def test_a_bad_row_deep_inside_fails_the_final_validation(monkeypatch, fault, message):
+    # attach(path(3)) is the first wedge part, so its vertices keep their
+    # numbers and the final graph fails with the text the part itself would
+    def faulty(g):
+        rows, root = attach_root(g)
+        return fault(rows), root
+
+    monkeypatch.setattr(transmit.builders, "attach_root", faulty)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build_expr(parse("wedge(attach(path(3)),star(2))"))
+
+
+def recursive_tree(arity: int, depth: int) -> tuple:
     """The wedge-of-attached-subtrees construction, kept only as a cross-check."""
     if depth == 0:
-        return RootedGraph(1, ((),), 0)
+        return ((),), 0
     subtree = recursive_tree(arity, depth - 1)
     return wedge_graphs([attach_root(subtree)] * arity)
 
@@ -251,8 +320,8 @@ def recursive_tree(arity: int, depth: int) -> RootedGraph:
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
 def test_direct_tree_matches_recursive_construction(arity, depth):
     # triples are isomorphism invariants, so equal triples back the claim
-    direct = tree_graph(arity, depth)
-    recursive = recursive_tree(arity, depth)
+    direct = built(f"tree({arity},{depth})")
+    recursive = _validated(recursive_tree(arity, depth))
     assert direct.vertex_count == recursive.vertex_count
     assert oracle_triple(direct) == oracle_triple(recursive)
 
@@ -277,7 +346,7 @@ def test_mesh_leaves_out_sides_of_one(monkeypatch):
     products = []
 
     def counting(g, h):
-        products.append((g.vertex_count, h.vertex_count))
+        products.append((len(g[0]), len(h[0])))
         return cartesian_graphs(g, h)
 
     monkeypatch.setattr(transmit.builders, "cartesian_graphs", counting)
@@ -285,9 +354,9 @@ def test_mesh_leaves_out_sides_of_one(monkeypatch):
         for dims in itertools.product((1, 2, 3), repeat=k):
             kept = tuple(r for r in dims if r != 1) or (1,)
             products.clear()
-            g = mesh_graph(dims)
+            g = _validated(mesh_graph(dims))
             assert len(products) == len(kept) - 1, dims
-            assert g == mesh_graph(kept) == reference_mesh(dims), dims
+            assert g == _validated(mesh_graph(kept)) == reference_mesh(dims), dims
 
 
 @st.composite
@@ -307,11 +376,14 @@ def rooted_graphs(draw, connected=False):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(rooted_graphs(), min_size=1, max_size=3))
 def test_combinators_match_the_edge_list_reference_at_any_root(parts):
-    assert _fields(wedge_graphs(parts)) == _fields(reference_wedge(parts))
-    assert _fields(attach_root(parts[0])) == _fields(reference_attach(parts[0]))
+    pairs = [_pair(p) for p in parts]
+    assert _fields(_validated(wedge_graphs(pairs))) == _fields(reference_wedge(parts))
+    assert _fields(_validated(attach_root(pairs[0]))) == _fields(reference_attach(parts[0]))
     g, h = parts[0], parts[-1]
-    assert _fields(rooted_product_graphs(g, h)) == _fields(reference_rooted_product(g, h))
-    assert _fields(cartesian_graphs(g, h)) == _fields(reference_cartesian(g, h))
+    rooted = _validated(rooted_product_graphs(_pair(g), _pair(h)))
+    assert _fields(rooted) == _fields(reference_rooted_product(g, h))
+    cartesian = _validated(cartesian_graphs(_pair(g), _pair(h)))
+    assert _fields(cartesian) == _fields(reference_cartesian(g, h))
 
 
 @settings(max_examples=100, deadline=None)
@@ -319,5 +391,7 @@ def test_combinators_match_the_edge_list_reference_at_any_root(parts):
 def test_product_triples_match_the_oracle_at_any_root(g, h):
     # the only check of the root rule and delta0 at roots other than 0
     gt, ht = oracle_triple(g), oracle_triple(h)
-    assert cartesian_triple(gt, ht) == oracle_triple(cartesian_graphs(g, h))
-    assert rooted_product_triple(gt, ht) == oracle_triple(rooted_product_graphs(g, h))
+    cartesian = _validated(cartesian_graphs(_pair(g), _pair(h)))
+    assert cartesian_triple(gt, ht) == oracle_triple(cartesian)
+    rooted = _validated(rooted_product_graphs(_pair(g), _pair(h)))
+    assert rooted_product_triple(gt, ht) == oracle_triple(rooted)

@@ -8,19 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transmit.builders import (
-    attach_root,
-    build_expr,
-    complete_graph,
-    cycle_graph,
-    mesh_graph,
-    path_graph,
-    power_graph,
-    rooted_product_graphs,
-    star_graph,
-    tree_graph,
-    wedge_graphs,
-)
+from transmit.builders import build_expr
 from transmit.dsl import Complete, Cycle, Mesh, Path, Star, Wedge, parse
 from transmit.errors import InexactDivisionError, ValidationError
 from transmit.formulas import (
@@ -44,7 +32,7 @@ from transmit.formulas import (
 
 from expr_corpus import random_expressions
 from expr_strategies import buildable_expressions
-from oracle_util import oracle_triple
+from oracle_util import built, oracle_triple
 from recurrences import (
     SINGLE_VERTEX,
     mesh_axis_sum,
@@ -86,25 +74,25 @@ class TestTripleInvariants:
 
 class TestPrimitiveTriples:
     def test_complete(self):
-        assert complete_triple(4) == oracle_triple(complete_graph(4))
+        assert complete_triple(4) == oracle_triple(built("complete(4)"))
         assert complete_triple(4) == TransmissionTriple(4, 12, 3)
 
     def test_cycle_odd_and_even(self):
-        assert cycle_triple(5) == oracle_triple(cycle_graph(5))
+        assert cycle_triple(5) == oracle_triple(built("cycle(5)"))
         assert cycle_triple(5) == TransmissionTriple(5, 30, 6)
-        assert cycle_triple(4) == oracle_triple(cycle_graph(4))
+        assert cycle_triple(4) == oracle_triple(built("cycle(4)"))
         assert cycle_triple(4).delta == 16
 
     def test_star(self):
-        assert star_triple(3) == oracle_triple(star_graph(3))
+        assert star_triple(3) == oracle_triple(built("star(3)"))
         assert star_triple(3) == TransmissionTriple(4, 18, 3)
 
     def test_path(self):
-        assert path_triple(5) == oracle_triple(path_graph(5))
+        assert path_triple(5) == oracle_triple(built("path(5)"))
         assert path_triple(5) == TransmissionTriple(5, 40, 10)
 
     def test_mesh(self):
-        assert mesh_triple((2, 3)) == oracle_triple(mesh_graph((2, 3)))
+        assert mesh_triple((2, 3)) == oracle_triple(built("mesh(2,3)"))
         assert mesh_triple((2, 3)) == TransmissionTriple(6, 50, 9)
 
     def test_one_dimensional_mesh_is_a_path(self):
@@ -124,7 +112,7 @@ class TestWedgeTriple:
         assert wedge_triple([t]) == t
 
     def test_two_edges(self):
-        expected = oracle_triple(wedge_graphs([complete_graph(2)] * 2))
+        expected = oracle_triple(built("wedge(complete(2),complete(2))"))
         assert expected == TransmissionTriple(3, 8, 2)
         assert wedge_triple([EDGE, EDGE]) == expected
 
@@ -133,8 +121,8 @@ class TestWedgeTriple:
             assert wedge_triple([EDGE] * n) == TransmissionTriple(n + 1, 2 * n**2, n)
 
     def test_mixed_parts_match_oracle(self):
-        parts = [star_graph(2), cycle_graph(5), tree_graph(2, 1)]
-        expected = oracle_triple(wedge_graphs(parts))
+        parts = [built("star(2)"), built("cycle(5)"), built("tree(2,1)")]
+        expected = oracle_triple(built("wedge(star(2),cycle(5),tree(2,1))"))
         assert wedge_triple([oracle_triple(p) for p in parts]) == expected
 
     def test_empty_rejected(self):
@@ -147,20 +135,20 @@ class TestAttachRootTriple:
         assert attach_root_triple(SINGLE_VERTEX) == TransmissionTriple(2, 2, 1)
 
     def test_on_center_rooted_star(self):
-        expected = oracle_triple(attach_root(star_graph(2)))
+        expected = oracle_triple(built("attach(star(2))"))
         assert expected == TransmissionTriple(4, 18, 5)
         assert attach_root_triple(TransmissionTriple(3, 8, 2)) == expected
 
     def test_on_an_edge(self):
         # path of 3 rooted at an endpoint
-        expected = oracle_triple(attach_root(complete_graph(2)))
+        expected = oracle_triple(built("attach(complete(2))"))
         assert expected == TransmissionTriple(3, 8, 3)
         assert attach_root_triple(EDGE) == expected
 
 
 class TestRootedProductTriple:
     def test_edge_squared(self):
-        expected = oracle_triple(rooted_product_graphs(complete_graph(2), complete_graph(2)))
+        expected = oracle_triple(built("rprod(complete(2),complete(2))"))
         assert expected == TransmissionTriple(4, 20, 4)
         assert rooted_product_triple(EDGE, EDGE) == expected
 
@@ -170,9 +158,9 @@ class TestRootedProductTriple:
         assert rooted_product_triple(SINGLE_VERTEX, t) == t
 
     def test_mixed_match_oracle(self):
-        g, h = cycle_graph(4), star_graph(2)
+        g, h = built("cycle(4)"), built("star(2)")
         assert rooted_product_triple(oracle_triple(g), oracle_triple(h)) == oracle_triple(
-            rooted_product_graphs(g, h)
+            built("rprod(cycle(4),star(2))")
         )
 
 
@@ -205,18 +193,18 @@ class TestTreeTriple:
             assert tree_triple(arity, 0) == SINGLE_VERTEX
 
     def test_binary_depth_two(self):
-        assert tree_triple(2, 2) == oracle_triple(tree_graph(2, 2))
+        assert tree_triple(2, 2) == oracle_triple(built("tree(2,2)"))
         assert tree_triple(2, 2) == TransmissionTriple(7, 96, 10)
 
     def test_unary_tree_is_a_path(self):
-        assert tree_triple(1, 3) == oracle_triple(tree_graph(1, 3))
+        assert tree_triple(1, 3) == oracle_triple(built("tree(1,3)"))
         assert tree_triple(1, 3) == TransmissionTriple(4, 20, 6)
         for depth in range(12):
             assert tree_triple(1, depth) == path_triple(depth + 1)
             assert tree_recurrence(1, depth) == path_triple(depth + 1)
 
     def test_ternary_depth_two(self):
-        assert tree_triple(3, 2) == oracle_triple(tree_graph(3, 2))
+        assert tree_triple(3, 2) == oracle_triple(built("tree(3,2)"))
         assert tree_triple(3, 2) == TransmissionTriple(13, 432, 21)
 
 
@@ -263,9 +251,9 @@ class TestPowerTriple:
         assert power_triple(t, 1) == t
 
     def test_edge_squared_and_cubed(self):
-        assert power_triple(EDGE, 2) == oracle_triple(power_graph(complete_graph(2), 2))
+        assert power_triple(EDGE, 2) == oracle_triple(built("power(complete(2),2)"))
         assert power_triple(EDGE, 2) == TransmissionTriple(4, 20, 4)
-        assert power_triple(EDGE, 3) == oracle_triple(power_graph(complete_graph(2), 3))
+        assert power_triple(EDGE, 3) == oracle_triple(built("power(complete(2),3)"))
         assert power_triple(EDGE, 3) == TransmissionTriple(8, 136, 12)
 
     def test_equals_folded_rooted_products(self):

@@ -7,14 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import transmit.graph
-from transmit.builders import (
-    build_expr,
-    complete_graph,
-    mesh_graph,
-    path_graph,
-    star_graph,
-    tree_graph,
-)
+from transmit.builders import build_expr
 from transmit.cli import main
 from transmit.dsl import estimated_size, parse
 from transmit.errors import ConnectivityError, ValidationError
@@ -32,6 +25,7 @@ from expr_corpus import oracle_corpus
 from expr_strategies import buildable_expressions
 from oracle_util import (
     UNREACHABLE,
+    built,
     edges,
     floyd_warshall,
     graph_from_edges,
@@ -89,7 +83,7 @@ class TestRootedGraphInvariants:
 
     @pytest.mark.parametrize("vertex, neighbor", [(143, 57), (57, 143)])
     def test_rejects_complete_graph_missing_one_back_edge(self, vertex, neighbor):
-        adjacency = _without(complete_graph(200).adjacency, vertex, neighbor)
+        adjacency = _without(built("complete(200)").adjacency, vertex, neighbor)
         with pytest.raises(
             ValidationError, match=f"^edge {neighbor}-{vertex} is not symmetric$"
         ):
@@ -143,10 +137,10 @@ class _CountingRows(tuple):
 class TestBfsDistances:
     def test_stops_once_every_vertex_is_reached(self):
         for g, source, rows_scanned in (
-            (complete_graph(50), 7, 1),
-            (path_graph(5), 0, 4),
-            (star_graph(6), 0, 1),
-            (star_graph(6), 3, 2),
+            (built("complete(50)"), 7, 1),
+            (built("path(5)"), 0, 4),
+            (built("star(6)"), 0, 1),
+            (built("star(6)"), 3, 2),
         ):
             counted = RootedGraph(g.vertex_count, _CountingRows(g.adjacency), g.root)
             counted.adjacency.lookups = 0
@@ -155,15 +149,15 @@ class TestBfsDistances:
             assert counted.adjacency.lookups == rows_scanned
 
     def test_star_from_leaf(self):
-        assert bfs_levels(star_graph(3), 1) == [1, 1, 2]
+        assert bfs_levels(built("star(3)"), 1) == [1, 1, 2]
 
     def test_source_distance_zero(self):
-        g = tree_graph(2, 2)
+        g = built("tree(2,2)")
         for s in range(g.vertex_count):
             assert bfs_levels(g, s)[0] == 1
 
     def test_path_from_endpoint(self):
-        assert bfs_levels(path_graph(4), 0) == [1, 1, 1, 1]
+        assert bfs_levels(built("path(4)"), 0) == [1, 1, 1, 1]
 
     def test_unreachable_sentinel(self):
         with pytest.raises(ConnectivityError, match=f"^{DISCONNECTED}$"):
@@ -181,7 +175,7 @@ class TestConnectivity:
         assert sum(bfs_levels(SINGLE, 0)) == SINGLE.vertex_count
 
     def test_path(self):
-        g = path_graph(4)
+        g = built("path(4)")
         assert sum(bfs_levels(g, 0)) == g.vertex_count
 
     def test_two_isolated_vertices(self):
@@ -229,13 +223,13 @@ def test_shallow_graph_needs_only_the_first_bfs(monkeypatch, oracle):
         return bfs_levels(g, source)
 
     monkeypatch.setattr(transmit.graph, "bfs_levels", counting)
-    oracle(mesh_graph((16, 16)))
+    oracle(built("mesh(16,16)"))
     assert sources == [0]
 
 
 class TestTransmission:
     def test_star_center_and_leaf(self):
-        g = star_graph(3)
+        g = built("star(3)")
         assert vertex_transmission(g, 0) == 3
         assert vertex_transmission(g, 1) == 5
 
@@ -245,25 +239,25 @@ class TestTransmission:
         assert graph_transmission(SINGLE) == 0
 
     def test_root_transmission_examples(self):
-        assert root_transmission(star_graph(3)) == 3
-        assert root_transmission(tree_graph(2, 2)) == 10
+        assert root_transmission(built("star(3)")) == 3
+        assert root_transmission(built("tree(2,2)")) == 10
 
     def test_graph_transmission_examples(self):
-        assert graph_transmission(complete_graph(2)) == 2
-        assert graph_transmission(tree_graph(2, 2)) == 96
+        assert graph_transmission(built("complete(2)")) == 2
+        assert graph_transmission(built("tree(2,2)")) == 96
 
     def test_equals_sum_over_vertices(self):
-        g = tree_graph(2, 2)
+        g = built("tree(2,2)")
         total = sum(vertex_transmission(g, v) for v in range(g.vertex_count))
         assert graph_transmission(g) == total
 
 
 class TestDistanceHistogram:
     def test_path_of_three(self):
-        assert distance_histogram(path_graph(3)).counts == {0: 3, 1: 4, 2: 2}
+        assert distance_histogram(built("path(3)")).counts == {0: 3, 1: 4, 2: 2}
 
     def test_complete_three(self):
-        assert distance_histogram(complete_graph(3)).counts == {0: 3, 1: 6}
+        assert distance_histogram(built("complete(3)")).counts == {0: 3, 1: 6}
 
     def test_single_vertex(self):
         assert distance_histogram(SINGLE).counts == {0: 1}
@@ -388,4 +382,4 @@ def test_transmission_invariants_on_random_graphs(expr):
 
 @given(st.integers(2, 30))
 def test_histogram_of_complete_graph(n):
-    assert distance_histogram(complete_graph(n)).counts == {0: n, 1: n * (n - 1)}
+    assert distance_histogram(built(f"complete({n})")).counts == {0: n, 1: n * (n - 1)}
