@@ -18,7 +18,6 @@ from .errors import (
 )
 from .formulas import TransmissionTriple, evaluate_expr
 from .graph import (
-    DistanceHistogram,
     RootedGraph,
     bfs_levels,
     distance_histogram,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_VERTEX_CAP",
     "ConnectivityError",
-    "DistanceHistogram",
     "InexactDivisionError",
     "ResourceLimitError",
     "RootedGraph",

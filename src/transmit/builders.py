@@ -10,15 +10,16 @@ reproducible:
   corner index 0;
 - tree: breadth-first order, root 0;
 - wedge: shared root 0, then each part's non-root vertices in part order;
-- Cartesian and rooted product: (g, h) maps to g * |H| + h, the root to
-  (g's root, h's root); g's edges join the copies of H at every h, or at
-  h's root only in the rooted product;
+- Cartesian and rooted product: (g, h) maps to g * |H| + h, so the root
+  is (0, 0); g's edges join the copies of H at every h, or at h's root
+  only in the rooted product;
 - attach: the new pendant root is 0, old vertices shift up by one.
 
-Each builder writes the strictly increasing adjacency rows of its graph
-straight from these rules and returns ``(rows, root)``; each combinator
-reads its parts' pairs, so building costs O(V+E) per level. Only
-``build_expr`` makes, and so validates, a ``RootedGraph``.
+Every graph is rooted at vertex 0. Each builder writes the strictly
+increasing adjacency rows of its graph straight from these rules and
+returns them; each combinator reads its parts' rows, so building costs
+O(V+E) per level. Only ``build_expr`` makes, and so validates, a
+``RootedGraph``.
 """
 
 from __future__ import annotations
@@ -37,21 +38,20 @@ DEFAULT_VERTEX_CAP = 100_000
 
 def complete_graph(n: int) -> tuple:
     everyone = tuple(range(n))
-    return tuple(everyone[:i] + everyone[i + 1:] for i in range(n)), 0
+    return tuple(everyone[:i] + everyone[i + 1:] for i in range(n))
 
 
 def cycle_graph(n: int) -> tuple:
-    rows = ((1, n - 1),) + tuple((i - 1, i + 1) for i in range(1, n - 1)) + ((0, n - 2),)
-    return rows, 0
+    return ((1, n - 1),) + tuple((i - 1, i + 1) for i in range(1, n - 1)) + ((0, n - 2),)
 
 
 def star_graph(n: int) -> tuple:
     """Star with n leaves (n + 1 vertices), rooted at the center."""
-    return (tuple(range(1, n + 1)),) + ((0,),) * n, 0
+    return (tuple(range(1, n + 1)),) + ((0,),) * n
 
 
 def path_graph(n: int) -> tuple:
-    return tuple(tuple(j for j in (i - 1, i + 1) if 0 <= j < n) for i in range(n)), 0
+    return tuple(tuple(j for j in (i - 1, i + 1) if 0 <= j < n) for i in range(n))
 
 
 def mesh_graph(dims: tuple[int, ...]) -> tuple:
@@ -75,38 +75,32 @@ def tree_graph(arity: int, depth: int) -> tuple:
     rows += [()] * (dsl.tree_size(arity, depth) - internal)
     for v in range(1, len(rows)):
         rows[v] = ((v - 1) // arity,) + rows[v]
-    return tuple(rows), 0
+    return tuple(rows)
 
 
 def wedge_graphs(parts: list[tuple]) -> tuple:
-    """Glue all parts at their roots; the shared root becomes vertex 0."""
+    """Glue all parts at their roots, vertex 0 of each, into vertex 0."""
     root_row = []
     rows = []
-    offset = 1
-    for adjacency, root in parts:
-        # Non-root vertex w moves to offset + w, less one above the root.
-        # That keeps rows increasing; the root, now 0, goes first.
-        moved = [
-            tuple([offset + w - (w > root) for w in row if w != root])
-            for row in adjacency
-        ]
-        for w in adjacency[root]:
-            moved[w] = (0,) + moved[w]
-        root_row += moved.pop(root)
-        rows += moved
-        offset += len(adjacency) - 1
-    return (tuple(root_row),) + tuple(rows), 0
+    shift = 0
+    for adjacency in parts:
+        # Each row is renumbered as it stands: the root stays 0, and so
+        # first in every row that lists it; vertex w > 0 moves up by shift.
+        moved = [tuple([w and w + shift for w in row]) for row in adjacency]
+        root_row += moved[0]
+        rows += moved[1:]
+        shift += len(adjacency) - 1
+    return (tuple(root_row),) + tuple(rows)
 
 
 def _product_graphs(g: tuple, h: tuple, joined: range | tuple[int]) -> tuple:
     """One copy of h per vertex of g; g's edges join the copies at each
     vertex of h in ``joined``."""
-    (g_rows, g_root), (h_rows, h_root) = g, h
-    nh = len(h_rows)
+    nh = len(h)
     rows = []
-    for gi, g_row in enumerate(g_rows):
+    for gi, g_row in enumerate(g):
         base = gi * nh
-        copy = [tuple([base + w for w in h_row]) for h_row in h_rows]
+        copy = [tuple([base + w for w in h_row]) for h_row in h]
         # g's neighbors below gi sit in earlier copies, the rest in later
         # ones, so a joined row stays increasing.
         lower = [u * nh for u in g_row if u < gi]
@@ -114,31 +108,30 @@ def _product_graphs(g: tuple, h: tuple, joined: range | tuple[int]) -> tuple:
         for hj in joined:
             copy[hj] = tuple([u + hj for u in lower]) + copy[hj] + tuple([u + hj for u in upper])
         rows += copy
-    return tuple(rows), g_root * nh + h_root
+    return tuple(rows)
 
 
 def cartesian_graphs(g: tuple, h: tuple) -> tuple:
     """Cartesian product: g's edges join the copies of h at every vertex."""
-    return _product_graphs(g, h, range(len(h[0])))
+    return _product_graphs(g, h, range(len(h)))
 
 
 def rooted_product_graphs(g: tuple, h: tuple) -> tuple:
     """One copy of h per vertex of g; g's edges join the copies at h's root."""
-    return _product_graphs(g, h, (h[1],))
+    return _product_graphs(g, h, (0,))
 
 
 def attach_root(g: tuple) -> tuple:
     """Add a pendant vertex at the root and make the pendant the new root."""
-    adjacency, root = g
-    rows = [(root + 1,)] + [tuple([w + 1 for w in row]) for row in adjacency]
-    rows[root + 1] = (0,) + rows[root + 1]
-    return tuple(rows), 0
+    rows = [(1,)] + [tuple([w + 1 for w in row]) for row in g]
+    rows[1] = (0,) + rows[1]
+    return tuple(rows)
 
 
 def power_graph(g: tuple, k: int) -> tuple:
     """k-fold rooted product of g with itself. One vertex is its own power,
     and the cap lets it through at any k, so no product is run for it."""
-    if len(g[0]) == 1:
+    if len(g) == 1:
         return g
     return reduce(rooted_product_graphs, [g] * (k - 1), g)
 
@@ -172,5 +165,4 @@ def build_expr(expr: TopologyExpr, max_vertices: int = DEFAULT_VERTEX_CAP) -> Ro
     size = dsl.estimated_size(expr)
     if size > max_vertices:
         raise ResourceLimitError(size, max_vertices)
-    rows, root = dsl.fold(expr, _GRAPH_OPS)
-    return RootedGraph(len(rows), rows, root)
+    return RootedGraph(dsl.fold(expr, _GRAPH_OPS))

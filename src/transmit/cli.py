@@ -27,7 +27,7 @@ from .errors import (
     decimal_text,
 )
 from .formulas import TransmissionTriple, evaluate_expr, gf_series, tree_triple
-from .graph import distance_histogram, graph_transmission, root_transmission
+from .graph import distance_histogram, graph_transmission, root_transmission, transmission
 from .metrics import TopologyReport, compare_rank, summarize
 
 FORMATS = ("table", "json", "csv")
@@ -274,16 +274,16 @@ def series(arity: int, terms: int, fmt: str) -> int:
 def hist(expr_text: str, max_vertices: int, fmt: str) -> int:
     """Distance histogram of EXPR from the BFS oracle, plus delta."""
     graph = build_expr(parse(expr_text), max_vertices)
-    histogram = distance_histogram(graph)
-    delta = histogram.transmission()
+    counts = distance_histogram(graph)
+    delta = transmission(counts)
     if fmt == "json":
         output = {
             "expr": expr_text,
-            "counts": {_cell(d, fmt): _cell(c, fmt) for d, c in histogram.counts.items()},
+            "counts": {_cell(d, fmt): _cell(c, fmt) for d, c in enumerate(counts)},
             "delta": _cell(delta, fmt),
         }
     else:
-        output = [("distance", "pairs"), *histogram.counts.items(), ("delta", delta)]
+        output = [("distance", "pairs"), *enumerate(counts), ("delta", delta)]
     _emit(fmt, output)
     return 0
 

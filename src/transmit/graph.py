@@ -2,19 +2,21 @@
 
 Everything here is deliberately simple: the BFS oracle is the independent
 check for every closed-form transmission formula, so it must stay obviously
-correct. A graph is its strictly increasing adjacency rows, validated on
-construction, immutable after it and safe to share. :mod:`transmit.builders`
-makes one per expression, from the bare rows its builders pass around.
+correct. A graph is its strictly increasing adjacency rows, rooted at
+vertex 0, validated on construction, immutable after it and safe to share.
+:mod:`transmit.builders` makes one per expression, from the bare rows its
+builders pass around.
 
 Costs: validating a graph is O(V+E) time and O(V) extra memory. One BFS
 is O(V+E), returns how many vertices lie at each distance, and stops at the
 end of the first level after which every vertex is reached, so on a
 complete graph it scans one row. ``distance_histogram`` counts ordered
-pairs by distance, and every transmission is a weighted sum of such
-counts. It runs one BFS from vertex 0, which checks connectivity and gives
-its eccentricity e. When 8·e < V the graph is shallow and it counts all
-pairs with reach bitsets: O(diameter·E) ORs of ``_BLOCK``-bit integers per
-block of ``_BLOCK`` (2048) sources, in about 2·V·``_BLOCK``/8 bytes.
+pairs by distance, in a list indexed by distance like the level sizes,
+and every transmission is ``transmission`` of such counts. It runs one
+BFS from vertex 0, which checks connectivity and gives its eccentricity
+e. When 8·e < V the graph is shallow and it counts all pairs with reach
+bitsets: O(diameter·E) ORs of ``_BLOCK``-bit integers per block of
+``_BLOCK`` (2048) sources, in about 2·V·``_BLOCK``/8 bytes.
 Otherwise (long cycles and paths, deep chains) it adds up the levels of
 one BFS per remaining source.
 """
@@ -38,26 +40,22 @@ _DISCONNECTED = "graph is disconnected; transmission is undefined"
 
 @dataclass(frozen=True)
 class RootedGraph:
-    """Undirected simple graph with a designated root vertex.
+    """Undirected simple graph rooted at vertex 0.
 
     ``adjacency[i]`` is the strictly increasing tuple of neighbors of
     vertex ``i``; vertices are ``0 .. vertex_count - 1``.
     """
 
-    vertex_count: int
     adjacency: tuple[tuple[int, ...], ...]
-    root: int
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.adjacency)
 
     def __post_init__(self):
-        n = self.vertex_count
+        n = len(self.adjacency)
         if n < 1:
             raise ValidationError(f"vertex_count must be >= 1, got {n}")
-        if len(self.adjacency) != n:
-            raise ValidationError(
-                f"adjacency has {len(self.adjacency)} rows for {n} vertices"
-            )
-        if not 0 <= self.root < n:
-            raise ValidationError(f"root {self.root} out of range 0..{n - 1}")
         for i, row in enumerate(self.adjacency):
             prev = -1
             for j in row:
@@ -92,19 +90,9 @@ class RootedGraph:
                     raise ValidationError(f"edge {i}-{j} is not symmetric")
 
 
-@dataclass(frozen=True)
-class DistanceHistogram:
-    """Number of ordered vertex pairs at each hop distance.
-
-    ``counts`` maps each distance from 0 to the diameter, in ascending
-    order, to its pair count.
-    """
-
-    counts: dict[int, int]
-
-    def transmission(self) -> int:
-        """Recompute delta as sum of distance * pair count."""
-        return sum(d * c for d, c in self.counts.items())
+def transmission(counts: list[int]) -> int:
+    """Sum of distances, from counts indexed by distance: Σ d·counts[d]."""
+    return sum(d * c for d, c in enumerate(counts))
 
 
 def bfs_levels(g: RootedGraph, source: int) -> list[int]:
@@ -140,12 +128,12 @@ def bfs_levels(g: RootedGraph, source: int) -> list[int]:
 
 def vertex_transmission(g: RootedGraph, v: int) -> int:
     """Sum of hop distances from ``v`` to every vertex."""
-    return sum(d * c for d, c in enumerate(bfs_levels(g, v)))
+    return transmission(bfs_levels(g, v))
 
 
 def root_transmission(g: RootedGraph) -> int:
     """Transmission of the root: sum of distances root -> every vertex."""
-    return vertex_transmission(g, g.root)
+    return vertex_transmission(g, 0)
 
 
 def _bitset_distance_counts(g: RootedGraph) -> list[int]:
@@ -192,8 +180,9 @@ def _bitset_distance_counts(g: RootedGraph) -> list[int]:
     return counts
 
 
-def distance_histogram(g: RootedGraph) -> DistanceHistogram:
-    """Count ordered vertex pairs by hop distance.
+def distance_histogram(g: RootedGraph) -> list[int]:
+    """Count ordered vertex pairs by hop distance: entry d for distance d,
+    from 0 to the diameter.
 
     The BFS from vertex 0 alone decides whether an undirected graph is
     connected, and its eccentricity ``len(levels) - 1`` picks the method
@@ -210,10 +199,12 @@ def distance_histogram(g: RootedGraph) -> DistanceHistogram:
         for source in range(1, n):
             levels = bfs_levels(g, source)
             counts[: len(levels)] = map(add, counts, levels)
-    return DistanceHistogram({d: c for d, c in enumerate(counts) if c})
+        while not counts[-1]:  # padding past the diameter
+            counts.pop()
+    return counts
 
 
 def graph_transmission(g: RootedGraph) -> int:
     """Sum of distances over all ordered vertex pairs: the weighted sum of
     ``distance_histogram``."""
-    return distance_histogram(g).transmission()
+    return transmission(distance_histogram(g))

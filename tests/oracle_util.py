@@ -95,9 +95,7 @@ def edges(g: RootedGraph) -> list[tuple[int, int]]:
     return [(i, j) for i in range(g.vertex_count) for j in g.adjacency[i] if i < j]
 
 
-def graph_from_edges(
-    vertex_count: int, pairs: list[tuple[int, int]], root: int
-) -> RootedGraph:
+def graph_from_edges(vertex_count: int, pairs: list[tuple[int, int]]) -> RootedGraph:
     """Build a RootedGraph from an edge list, sorting and deduplicating."""
     neighbors: list[set[int]] = [set() for _ in range(vertex_count)]
     for u, v in pairs:
@@ -106,29 +104,29 @@ def graph_from_edges(
         neighbors[u].add(v)
         neighbors[v].add(u)
     adjacency = tuple(tuple(sorted(s)) for s in neighbors)
-    return RootedGraph(vertex_count, adjacency, root)
+    return RootedGraph(adjacency)
 
 
 # The edge-list builders: each writes its graph's edges and leaves sorting
 # and deduplication to ``graph_from_edges``; combinators read their parts'
-# ``edges``. ``transmit.builders`` writes adjacency rows directly and must
-# give the same numbering, rows and root.
+# ``edges``. Every graph is rooted at vertex 0. ``transmit.builders`` writes
+# adjacency rows directly and must give the same numbering and rows.
 
 
 def reference_complete(n: int) -> RootedGraph:
-    return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)], 0)
+    return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def reference_cycle(n: int) -> RootedGraph:
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)], 0)
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def reference_star(n: int) -> RootedGraph:
-    return graph_from_edges(n + 1, [(0, leaf) for leaf in range(1, n + 1)], 0)
+    return graph_from_edges(n + 1, [(0, leaf) for leaf in range(1, n + 1)])
 
 
 def reference_path(n: int) -> RootedGraph:
-    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)], 0)
+    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def reference_mesh(dims: tuple[int, ...]) -> RootedGraph:
@@ -149,7 +147,7 @@ def reference_mesh(dims: tuple[int, ...]) -> RootedGraph:
             if coords[axis] < dims[axis]:
                 break
             coords[axis] = 0
-    return graph_from_edges(size, pairs, 0)
+    return graph_from_edges(size, pairs)
 
 
 def reference_tree(arity: int, depth: int) -> RootedGraph:
@@ -157,7 +155,7 @@ def reference_tree(arity: int, depth: int) -> RootedGraph:
     for parent in range(dsl.tree_size(arity, depth - 1)):
         for c in range(arity):
             pairs.append((parent, parent * arity + 1 + c))
-    return graph_from_edges(dsl.tree_size(arity, depth), pairs, 0)
+    return graph_from_edges(dsl.tree_size(arity, depth), pairs)
 
 
 def reference_wedge(parts: list[RootedGraph]) -> RootedGraph:
@@ -165,35 +163,33 @@ def reference_wedge(parts: list[RootedGraph]) -> RootedGraph:
     pairs = []
     offset = 1
     for part in parts:
-        def renumber(v: int, part: RootedGraph = part, offset: int = offset) -> int:
-            if v == part.root:
-                return 0
-            return offset + (v if v < part.root else v - 1)
+        def renumber(v: int, offset: int = offset) -> int:
+            return 0 if v == 0 else offset + v - 1
 
         for u, v in edges(part):
             pairs.append((renumber(u), renumber(v)))
         offset += part.vertex_count - 1
-    return graph_from_edges(size, pairs, 0)
+    return graph_from_edges(size, pairs)
 
 
 def reference_rooted_product(g: RootedGraph, h: RootedGraph) -> RootedGraph:
     nh = h.vertex_count
-    pairs = [(u * nh + h.root, v * nh + h.root) for u, v in edges(g)]
+    pairs = [(u * nh, v * nh) for u, v in edges(g)]
     for gi in range(g.vertex_count):
         pairs += [(gi * nh + u, gi * nh + v) for u, v in edges(h)]
-    return graph_from_edges(g.vertex_count * nh, pairs, g.root * nh + h.root)
+    return graph_from_edges(g.vertex_count * nh, pairs)
 
 
 def reference_cartesian(g: RootedGraph, h: RootedGraph) -> RootedGraph:
     nh = h.vertex_count
     pairs = [(u * nh + hj, v * nh + hj) for u, v in edges(g) for hj in range(nh)]
     pairs += [(gi * nh + u, gi * nh + v) for gi in range(g.vertex_count) for u, v in edges(h)]
-    return graph_from_edges(g.vertex_count * nh, pairs, g.root * nh + h.root)
+    return graph_from_edges(g.vertex_count * nh, pairs)
 
 
 def reference_attach(g: RootedGraph) -> RootedGraph:
-    pairs = [(0, g.root + 1)] + [(u + 1, v + 1) for u, v in edges(g)]
-    return graph_from_edges(g.vertex_count + 1, pairs, 0)
+    pairs = [(0, 1)] + [(u + 1, v + 1) for u, v in edges(g)]
+    return graph_from_edges(g.vertex_count + 1, pairs)
 
 
 def reference_power(g: RootedGraph, k: int) -> RootedGraph:

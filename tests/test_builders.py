@@ -61,21 +61,11 @@ from oracle_util import (
 K2 = built("complete(2)")
 
 
-def _validated(pair) -> RootedGraph:
-    """A builder's ``(rows, root)`` as a validated graph."""
-    rows, root = pair
-    return RootedGraph(len(rows), rows, root)
-
-
-def _pair(g: RootedGraph):
-    return g.adjacency, g.root
-
-
 class TestPrimitives:
     def test_star_shape(self):
         g = built("star(3)")
         assert g.vertex_count == 4
-        assert g.root == 0
+        assert root_transmission(g) == 3  # rooted at the center
         assert edges(g) == [(0, 1), (0, 2), (0, 3)]
 
     def test_star_center_degree(self):
@@ -86,7 +76,7 @@ class TestPrimitives:
         g = built("tree(2,2)")
         assert g.vertex_count == 7
         assert edges(g) == [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]
-        assert g.root == 0
+        assert root_transmission(g) == 10  # rooted at the top
 
     def test_tree_level_sizes(self):
         assert bfs_levels(built("tree(3,3)"), 0) == [1, 3, 9, 27]
@@ -127,19 +117,11 @@ class TestPrimitives:
 
 
 class TestWedge:
-    def test_single_part_renumbers_root_to_zero(self):
-        part = RootedGraph(3, ((1,), (0, 2), (1,)), root=1)
-        g = _validated(wedge_graphs([_pair(part)]))
-        assert g.root == 0
-        assert g.vertex_count == 3
-        assert edges(g) == [(0, 1), (0, 2)]
-        assert oracle_triple(g) == oracle_triple(part)
-
     def test_two_edges_make_a_path(self):
         g = built("wedge(complete(2),complete(2))")
         assert g.vertex_count == 3
         assert edges(g) == [(0, 1), (0, 2)]
-        assert g.root == 0
+        assert root_transmission(g) == 2  # rooted at the shared vertex
 
     def test_three_edges_make_a_star(self):
         g = built("wedge(complete(2),complete(2),complete(2))")
@@ -158,9 +140,9 @@ class TestWedge:
 
 class TestCartesianProduct:
     def test_k2_by_k2_is_a_four_cycle(self):
-        g = _validated(cartesian_graphs(_pair(K2), _pair(K2)))
+        g = RootedGraph(cartesian_graphs(K2.adjacency, K2.adjacency))
         assert edges(g) == [(0, 1), (0, 2), (1, 3), (2, 3)]
-        assert g.root == 0
+        assert root_transmission(g) == 4
 
 
 class TestRootedProduct:
@@ -189,12 +171,12 @@ class TestAttachRoot:
         g = built("attach(complete(1))")
         assert g.vertex_count == 2
         assert edges(g) == [(0, 1)]
-        assert g.root == 0
+        assert root_transmission(g) == 1
 
     def test_twice_gives_path_rooted_at_endpoint(self):
         g = built("attach(attach(complete(1)))")
         assert edges(g) == [(0, 1), (1, 2)]
-        assert g.root == 0
+        assert root_transmission(g) == 3  # rooted at an endpoint
 
     def test_on_center_rooted_star(self):
         g = built("attach(star(2))")
@@ -239,12 +221,12 @@ class TestPower:
         monkeypatch.setattr(transmit.builders, "rooted_product_graphs", counting)
         g = build_expr(parse(text))
         assert calls == []
-        assert (g.vertex_count, g.adjacency, g.root) == (1, ((),), 0)
+        assert (g.vertex_count, g.adjacency) == (1, ((),))
 
 
 class TestBuildExpr:
     def test_examples(self):
-        assert edges(build_expr(parse("complete(3)"))) == edges(_validated(complete_graph(3)))
+        assert edges(build_expr(parse("complete(3)"))) == edges(RootedGraph(complete_graph(3)))
         assert build_expr(parse("wedge(complete(2),complete(2))")).vertex_count == 3
         assert edges(build_expr(parse("power(complete(2),2)"))) == [(0, 1), (0, 2), (2, 3)]
 
@@ -285,23 +267,21 @@ def test_build_expr_validates_only_the_final_graph(monkeypatch):
 @pytest.mark.parametrize(
     "fault, message",
     [
-        # on an edge away from the part's root: the outer wedge rewrites the
-        # root's edges from the root's own row, so a fault on one of those
-        # would be repaired before the final validation
         (lambda rows: rows[:3] + (rows[3][1:],) + rows[4:], "edge 2-3 is not symmetric"),
         (
             lambda rows: rows[:2] + (rows[2][::-1],) + rows[3:],
             "adjacency[2] is not strictly increasing",
         ),
+        # an edge at the part's root, which the wedge renumbers as it stands
+        (lambda rows: (rows[0], rows[1][1:]) + rows[2:], "edge 0-1 is not symmetric"),
     ],
-    ids=["dropped back edge", "unsorted row"],
+    ids=["dropped back edge", "unsorted row", "dropped edge at the root"],
 )
 def test_a_bad_row_deep_inside_fails_the_final_validation(monkeypatch, fault, message):
     # attach(path(3)) is the first wedge part, so its vertices keep their
     # numbers and the final graph fails with the text the part itself would
     def faulty(g):
-        rows, root = attach_root(g)
-        return fault(rows), root
+        return fault(attach_root(g))
 
     monkeypatch.setattr(transmit.builders, "attach_root", faulty)
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -311,7 +291,7 @@ def test_a_bad_row_deep_inside_fails_the_final_validation(monkeypatch, fault, me
 def recursive_tree(arity: int, depth: int) -> tuple:
     """The wedge-of-attached-subtrees construction, kept only as a cross-check."""
     if depth == 0:
-        return ((),), 0
+        return ((),)
     subtree = recursive_tree(arity, depth - 1)
     return wedge_graphs([attach_root(subtree)] * arity)
 
@@ -321,32 +301,28 @@ def recursive_tree(arity: int, depth: int) -> tuple:
 def test_direct_tree_matches_recursive_construction(arity, depth):
     # triples are isomorphism invariants, so equal triples back the claim
     direct = built(f"tree({arity},{depth})")
-    recursive = _validated(recursive_tree(arity, depth))
+    recursive = RootedGraph(recursive_tree(arity, depth))
     assert direct.vertex_count == recursive.vertex_count
     assert oracle_triple(direct) == oracle_triple(recursive)
-
-
-def _fields(g: RootedGraph):
-    return g.vertex_count, g.adjacency, g.root
 
 
 def test_rows_match_the_edge_list_reference_on_the_corpus():
     for text in oracle_corpus():
         expr = parse(text)
-        assert _fields(build_expr(expr)) == _fields(reference_build(expr)), text
+        assert build_expr(expr) == reference_build(expr), text
 
 
 @settings(max_examples=150, deadline=None)
 @given(buildable_expressions(size_bound=200))
 def test_rows_match_the_edge_list_reference_on_random_expressions(expr):
-    assert _fields(build_expr(expr)) == _fields(reference_build(expr))
+    assert build_expr(expr) == reference_build(expr)
 
 
 def test_mesh_leaves_out_sides_of_one(monkeypatch):
     products = []
 
     def counting(g, h):
-        products.append((len(g[0]), len(h[0])))
+        products.append((len(g), len(h)))
         return cartesian_graphs(g, h)
 
     monkeypatch.setattr(transmit.builders, "cartesian_graphs", counting)
@@ -354,36 +330,39 @@ def test_mesh_leaves_out_sides_of_one(monkeypatch):
         for dims in itertools.product((1, 2, 3), repeat=k):
             kept = tuple(r for r in dims if r != 1) or (1,)
             products.clear()
-            g = _validated(mesh_graph(dims))
+            g = RootedGraph(mesh_graph(dims))
             assert len(products) == len(kept) - 1, dims
-            assert g == _validated(mesh_graph(kept)) == reference_mesh(dims), dims
+            assert g == RootedGraph(mesh_graph(kept)) == reference_mesh(dims), dims
 
 
 @st.composite
 def rooted_graphs(draw, connected=False):
-    """Small graphs, not always connected, rooted anywhere: every graph built
-    from an expression is rooted at 0, so expressions alone leave most root
-    positions of the combinators' renumbering untried. ``connected`` adds an
-    edge from each vertex to an earlier one."""
+    """Small graphs, not always connected, rooted anywhere: the root is drawn
+    from every vertex and then swaps labels with 0, where every graph is
+    rooted. Built graphs alone would leave most root positions, such as a
+    leaf or a vertex of low degree, untried. ``connected`` adds an edge from
+    each vertex to an earlier one."""
     n = draw(st.integers(1, 7))
     vertex = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])))
     if connected:
         pairs += [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
-    return graph_from_edges(n, pairs, draw(vertex))
+    root = draw(vertex)
+    label = {root: 0, 0: root}
+    return graph_from_edges(n, [(label.get(u, u), label.get(v, v)) for u, v in pairs])
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(rooted_graphs(), min_size=1, max_size=3))
 def test_combinators_match_the_edge_list_reference_at_any_root(parts):
-    pairs = [_pair(p) for p in parts]
-    assert _fields(_validated(wedge_graphs(pairs))) == _fields(reference_wedge(parts))
-    assert _fields(_validated(attach_root(pairs[0]))) == _fields(reference_attach(parts[0]))
+    rows = [p.adjacency for p in parts]
+    assert RootedGraph(wedge_graphs(rows)) == reference_wedge(parts)
+    assert RootedGraph(attach_root(rows[0])) == reference_attach(parts[0])
     g, h = parts[0], parts[-1]
-    rooted = _validated(rooted_product_graphs(_pair(g), _pair(h)))
-    assert _fields(rooted) == _fields(reference_rooted_product(g, h))
-    cartesian = _validated(cartesian_graphs(_pair(g), _pair(h)))
-    assert _fields(cartesian) == _fields(reference_cartesian(g, h))
+    rooted = RootedGraph(rooted_product_graphs(g.adjacency, h.adjacency))
+    assert rooted == reference_rooted_product(g, h)
+    cartesian = RootedGraph(cartesian_graphs(g.adjacency, h.adjacency))
+    assert cartesian == reference_cartesian(g, h)
 
 
 @settings(max_examples=100, deadline=None)
@@ -391,7 +370,7 @@ def test_combinators_match_the_edge_list_reference_at_any_root(parts):
 def test_product_triples_match_the_oracle_at_any_root(g, h):
     # the only check of the root rule and delta0 at roots other than 0
     gt, ht = oracle_triple(g), oracle_triple(h)
-    cartesian = _validated(cartesian_graphs(_pair(g), _pair(h)))
+    cartesian = RootedGraph(cartesian_graphs(g.adjacency, h.adjacency))
     assert cartesian_triple(gt, ht) == oracle_triple(cartesian)
-    rooted = _validated(rooted_product_graphs(_pair(g), _pair(h)))
+    rooted = RootedGraph(rooted_product_graphs(g.adjacency, h.adjacency))
     assert rooted_product_triple(gt, ht) == oracle_triple(rooted)

@@ -12,12 +12,12 @@ from transmit.cli import main
 from transmit.dsl import estimated_size, parse
 from transmit.errors import ConnectivityError, ValidationError
 from transmit.graph import (
-    DistanceHistogram,
     RootedGraph,
     bfs_levels,
     distance_histogram,
     graph_transmission,
     root_transmission,
+    transmission,
     vertex_transmission,
 )
 
@@ -34,9 +34,9 @@ from oracle_util import (
     reference_distance_counts,
 )
 
-SINGLE = RootedGraph(1, ((),), 0)
+SINGLE = RootedGraph(((),))
 DISCONNECTED = "graph is disconnected; transmission is undefined"
-TWO_ISOLATED = RootedGraph(2, ((), ()), 0)
+TWO_ISOLATED = RootedGraph(((), ()))
 
 
 @st.composite
@@ -60,16 +60,16 @@ def _without(adjacency, vertex, neighbor):
 class TestRootedGraphInvariants:
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(ValidationError, match="symmetric"):
-            RootedGraph(2, ((1,), ()), 0)
+            RootedGraph(((1,), ()))
 
     def test_rejects_back_edge_missing_mid_row(self):
         with pytest.raises(ValidationError, match="^edge 0-2 is not symmetric$"):
-            RootedGraph(4, ((1, 2, 3), (0,), (), (0,)), 0)
+            RootedGraph(((1, 2, 3), (0,), (), (0,)))
 
     def test_rejects_row_entry_skipped_by_a_later_vertex(self):
         # row 3 holds 1, which row 1 does not list; found while matching 2
         with pytest.raises(ValidationError, match="^edge 3-1 is not symmetric$"):
-            RootedGraph(4, ((), (), (3,), (1, 2)), 0)
+            RootedGraph(((), (), (3,), (1, 2)))
 
     @pytest.mark.parametrize(
         "adjacency, edge",
@@ -79,7 +79,7 @@ class TestRootedGraphInvariants:
         # row 0 does not list the last vertex, and no row between them lists
         # it either, so only the check at the start of the last row sees it
         with pytest.raises(ValidationError, match=f"^edge {edge} is not symmetric$"):
-            RootedGraph(len(adjacency), adjacency, 0)
+            RootedGraph(adjacency)
 
     @pytest.mark.parametrize("vertex, neighbor", [(143, 57), (57, 143)])
     def test_rejects_complete_graph_missing_one_back_edge(self, vertex, neighbor):
@@ -87,26 +87,26 @@ class TestRootedGraphInvariants:
         with pytest.raises(
             ValidationError, match=f"^edge {neighbor}-{vertex} is not symmetric$"
         ):
-            RootedGraph(200, adjacency, 0)
+            RootedGraph(adjacency)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValidationError, match="self-loop"):
-            RootedGraph(2, ((0, 1), (0,)), 0)
+            RootedGraph(((0, 1), (0,)))
 
     def test_rejects_unsorted_neighbors(self):
         with pytest.raises(ValidationError, match="strictly increasing"):
-            RootedGraph(3, ((2, 1), (0, 2), (0, 1)), 0)
+            RootedGraph(((2, 1), (0, 2), (0, 1)))
 
     def test_rejects_duplicate_neighbors(self):
         with pytest.raises(ValidationError, match="strictly increasing"):
-            RootedGraph(2, ((1, 1), (0,)), 0)
+            RootedGraph(((1, 1), (0,)))
 
-    def test_rejects_root_out_of_range(self):
-        with pytest.raises(ValidationError, match="root"):
-            RootedGraph(2, ((1,), (0,)), 2)
+    def test_rejects_no_vertices(self):
+        with pytest.raises(ValidationError, match="^vertex_count must be >= 1, got 0$"):
+            RootedGraph(())
 
     def test_from_edges_deduplicates_and_sorts(self):
-        g = graph_from_edges(3, [(2, 0), (0, 1), (1, 0)], root=1)
+        g = graph_from_edges(3, [(2, 0), (0, 1), (1, 0)])
         assert g.adjacency == ((1, 2), (0,), (0,))
         assert edges(g) == [(0, 1), (0, 2)]
 
@@ -115,13 +115,13 @@ class TestRootedGraphInvariants:
 @given(edge_lists(), st.data())
 def test_symmetry_check_names_the_one_missing_back_edge(graph, data):
     n, edges = graph
-    g = graph_from_edges(n, edges, root=0)
+    g = graph_from_edges(n, edges)
     listings = [(a, b) for a in range(n) for b in g.adjacency[a]]
     if not listings:
         return
     a, b = data.draw(st.sampled_from(listings))
     with pytest.raises(ValidationError, match=f"^edge {a}-{b} is not symmetric$"):
-        RootedGraph(n, _without(g.adjacency, b, a), 0)
+        RootedGraph(_without(g.adjacency, b, a))
 
 
 class _CountingRows(tuple):
@@ -142,7 +142,7 @@ class TestBfsDistances:
             (built("star(6)"), 0, 1),
             (built("star(6)"), 3, 2),
         ):
-            counted = RootedGraph(g.vertex_count, _CountingRows(g.adjacency), g.root)
+            counted = RootedGraph(_CountingRows(g.adjacency))
             counted.adjacency.lookups = 0
             expected = level_sizes(reference_bfs_distances(g, source))
             assert bfs_levels(counted, source) == expected
@@ -183,8 +183,8 @@ class TestConnectivity:
             bfs_levels(TWO_ISOLATED, 0)
 
     def test_transmission_rejects_disconnected(self):
-        # path 0-1 plus an isolated vertex 2 that is the root
-        isolated_root = RootedGraph(3, ((1,), (0,), ()), 2)
+        # path 1-2 plus an isolated vertex 0 that is the root
+        isolated_root = RootedGraph(((), (2,), (1,)))
         for g in (TWO_ISOLATED, isolated_root):
             with pytest.raises(ConnectivityError):
                 graph_transmission(g)
@@ -254,18 +254,18 @@ class TestTransmission:
 
 class TestDistanceHistogram:
     def test_path_of_three(self):
-        assert distance_histogram(built("path(3)")).counts == {0: 3, 1: 4, 2: 2}
+        assert distance_histogram(built("path(3)")) == [3, 4, 2]
 
     def test_complete_three(self):
-        assert distance_histogram(built("complete(3)")).counts == {0: 3, 1: 6}
+        assert distance_histogram(built("complete(3)")) == [3, 6]
 
     def test_single_vertex(self):
-        assert distance_histogram(SINGLE).counts == {0: 1}
+        assert distance_histogram(SINGLE) == [1]
 
     def test_transmission_recomputed(self):
-        h = DistanceHistogram({0: 3, 1: 4, 2: 2})
-        assert h.transmission() == 8
-        assert sum(h.counts.values()) == 9
+        counts = distance_histogram(built("path(3)"))
+        assert transmission(counts) == 8
+        assert sum(counts) == 9
 
 
 def test_bfs_matches_reference_on_corpus():
@@ -284,7 +284,7 @@ def _assert_oracle_counts(g: RootedGraph, reference) -> None:
     order included."""
     expected = sorted(reference.items())
     assert graph_transmission(g) == sum(d * c for d, c in expected)
-    assert list(distance_histogram(g).counts.items()) == expected
+    assert list(enumerate(distance_histogram(g))) == expected
 
 
 def test_oracle_matches_reference_counts_on_corpus(monkeypatch):
@@ -306,7 +306,7 @@ def test_oracle_matches_reference_counts_on_corpus(monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(edge_lists(), buildable_expressions().map(build_expr)))
 def test_bitset_counts_match_reference_at_small_width(graph):
-    g = graph if isinstance(graph, RootedGraph) else graph_from_edges(*graph, root=0)
+    g = graph if isinstance(graph, RootedGraph) else graph_from_edges(*graph)
     reference = reference_distance_counts(g)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(transmit.graph, "_BLOCK", 7)
@@ -329,7 +329,7 @@ def test_bitset_counts_match_reference_at_small_width(graph):
 @given(edge_lists())
 def test_bfs_matches_reference_on_random_edge_lists(graph):
     n, edges = graph
-    g = graph_from_edges(n, edges, root=0)
+    g = graph_from_edges(n, edges)
     for source in range(n):
         dist = reference_bfs_distances(g, source)
         if UNREACHABLE in dist:
@@ -374,12 +374,12 @@ def test_transmission_invariants_on_random_graphs(expr):
     delta = graph_transmission(g)
     assert delta % 2 == 0
     assert delta >= n * (n - 1)
-    histogram = distance_histogram(g)
-    assert histogram.counts[0] == n
-    assert sum(histogram.counts.values()) == n * n
-    assert histogram.transmission() == delta
+    counts = distance_histogram(g)
+    assert counts[0] == n
+    assert sum(counts) == n * n
+    assert transmission(counts) == delta
 
 
 @given(st.integers(2, 30))
 def test_histogram_of_complete_graph(n):
-    assert distance_histogram(built(f"complete({n})")).counts == {0: n, 1: n * (n - 1)}
+    assert distance_histogram(built(f"complete({n})")) == [n, n * (n - 1)]
