@@ -23,7 +23,6 @@ from .graph import (
     distance_histogram,
     graph_transmission,
     root_transmission,
-    vertex_transmission,
 )
 from .metrics import TopologyReport, compare_rank, summarize
 
@@ -52,6 +51,5 @@ __all__ = [
     "root_transmission",
     "summarize",
     "validate",
-    "vertex_transmission",
     "__version__",
 ]

@@ -136,22 +136,6 @@ def power_graph(g: tuple, k: int) -> tuple:
     return reduce(rooted_product_graphs, [g] * (k - 1), g)
 
 
-# One builder per node class, looked up by name at call time like the
-# closed forms in :mod:`transmit.formulas`.
-_GRAPH_OPS = {
-    dsl.Complete: lambda e, _: complete_graph(e.n),
-    dsl.Cycle: lambda e, _: cycle_graph(e.n),
-    dsl.Star: lambda e, _: star_graph(e.n),
-    dsl.Path: lambda e, _: path_graph(e.n),
-    dsl.Mesh: lambda e, _: mesh_graph(e.dims),
-    dsl.Tree: lambda e, _: tree_graph(e.arity, e.depth),
-    dsl.Wedge: lambda _, parts: wedge_graphs(parts),
-    dsl.RootedProduct: lambda _, gh: rooted_product_graphs(*gh),
-    dsl.Power: lambda e, base: power_graph(base[0], e.exponent),
-    dsl.Attach: lambda _, child: attach_root(child[0]),
-}
-
-
 def build_expr(expr: TopologyExpr, max_vertices: int = DEFAULT_VERTEX_CAP) -> RootedGraph:
     """Materialize a validated expression, bottom-up, as one validated graph.
 
@@ -159,10 +143,12 @@ def build_expr(expr: TopologyExpr, max_vertices: int = DEFAULT_VERTEX_CAP) -> Ro
     fast with the estimate attached. This is the package's only vertex
     cap: sizes only grow towards the root, so no intermediate graph is
     larger than the final one. The oracle measures only graphs built
-    here, and only the final one is validated.
+    here, and only the final one is validated. Each node is built by the
+    builder its :data:`~transmit.dsl.SPECS` row names.
     """
     dsl.require_valid(expr)
     size = dsl.estimated_size(expr)
     if size > max_vertices:
         raise ResourceLimitError(size, max_vertices)
-    return RootedGraph(dsl.fold(expr, _GRAPH_OPS))
+    builders = {cls: globals()[spec.graph] for cls, spec in dsl.SPECS.items()}
+    return RootedGraph(dsl.fold(expr, builders))

@@ -12,22 +12,26 @@ Grammar (ASCII whitespace permitted around tokens, input is a single expression)
 ``attach`` adds a pendant vertex to the root and re-roots there.
 
 Each node class is described once, in :data:`SPECS`: its keyword, its
-argument schema (kind, minimum, noun) and its size rule. The parser,
-:func:`validate`, :func:`render` and :func:`estimated_size` are driven by
-that table, and :func:`fold` is the bottom-up traversal that the
-closed-form engine and the graph builders share. Nothing here recurses, so
-nesting depth is bounded by memory alone.
+argument schema (kind, minimum, noun), its size rule and the names of its
+closed form in :mod:`transmit.formulas` and its builder in
+:mod:`transmit.builders`. The parser, :func:`validate`, :func:`render` and
+:func:`estimated_size` are driven by that table. :func:`fold` is the
+bottom-up traversal that :func:`render`, :func:`estimated_size` and both
+engines share. Nothing here recurses, so nesting depth is bounded by memory
+alone.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Any, Callable, Union
 
-from .errors import TopologyParseError, ValidationError
+from .errors import TopologyParseError, ValidationError, decimal_text
 
 
 @dataclass(frozen=True)
@@ -124,13 +128,23 @@ class Arg:
 
 @dataclass(frozen=True)
 class Spec:
-    """Everything the package knows about one node class apart from its
-    closed form and its builder: the keyword, the argument schema and the
-    exact vertex count as a fold op over the children's counts."""
+    """Everything the package knows about one node class: the keyword, the
+    argument schema, the exact vertex count and the names of the closed form
+    in :mod:`transmit.formulas` and the builder in :mod:`transmit.builders`.
+
+    ``size``, the closed form and the builder all take the node's fields in
+    field order, each sub-expression replaced by its own result (see
+    :func:`fold`). The engines import this module, so they are named here and
+    each engine looks its functions up in its own module at call time; a
+    wrapped module attribute, as a tracer or a test installs, then sees
+    every call.
+    """
 
     keyword: str
     args: tuple[Arg, ...]
-    size: Callable[[Any, list[int]], int]
+    size: Callable[..., int]
+    triple: str
+    graph: str
 
 
 def tree_size(arity: int, depth: int) -> int:
@@ -144,31 +158,42 @@ def tree_size(arity: int, depth: int) -> int:
     return (arity ** (depth + 1) - 1) // (arity - 1)
 
 
+def _plus_one(n: int) -> int:
+    return n + 1
+
+
+def _wedge_size(sizes: list[int]) -> int:
+    return sum(sizes) - (len(sizes) - 1)
+
+
 SPECS: dict[type, Spec] = {
-    Complete: Spec("complete", (Arg(INT, "size", 1),), lambda e, _: e.n),
+    Complete: Spec("complete", (Arg(INT, "size", 1),), operator.index, "complete_triple", "complete_graph"),
     # cycle(2) would need a double edge, which a simple graph cannot have
-    Cycle: Spec("cycle", (Arg(INT, "size", 3),), lambda e, _: e.n),
-    Star: Spec("star", (Arg(INT, "leaf count", 1),), lambda e, _: e.n + 1),
-    Path: Spec("path", (Arg(INT, "size", 1),), lambda e, _: e.n),
-    Mesh: Spec("mesh", (Arg(INTS, "dimension", 1),), lambda e, _: math.prod(e.dims)),
-    Tree: Spec("tree", (Arg(INT, "arity", 1), Arg(INT, "depth", 0)), lambda e, _: tree_size(e.arity, e.depth)),
-    Wedge: Spec("wedge", (Arg(EXPRS, "child"),), lambda _, s: sum(s) - (len(s) - 1)),
-    RootedProduct: Spec("rprod", (Arg(EXPR), Arg(EXPR)), lambda _, s: s[0] * s[1]),
-    Power: Spec("power", (Arg(EXPR), Arg(INT, "exponent", 1)), lambda e, s: s[0] ** e.exponent),
-    Attach: Spec("attach", (Arg(EXPR),), lambda _, s: s[0] + 1),
+    Cycle: Spec("cycle", (Arg(INT, "size", 3),), operator.index, "cycle_triple", "cycle_graph"),
+    Star: Spec("star", (Arg(INT, "leaf count", 1),), _plus_one, "star_triple", "star_graph"),
+    Path: Spec("path", (Arg(INT, "size", 1),), operator.index, "path_triple", "path_graph"),
+    Mesh: Spec("mesh", (Arg(INTS, "dimension", 1),), math.prod, "mesh_triple", "mesh_graph"),
+    Tree: Spec("tree", (Arg(INT, "arity", 1), Arg(INT, "depth", 0)), tree_size, "tree_triple", "tree_graph"),
+    Wedge: Spec("wedge", (Arg(EXPRS, "child"),), _wedge_size, "wedge_triple", "wedge_graphs"),
+    RootedProduct: Spec("rprod", (Arg(EXPR), Arg(EXPR)), operator.mul, "rooted_product_triple", "rooted_product_graphs"),
+    Power: Spec("power", (Arg(EXPR), Arg(INT, "exponent", 1)), pow, "power_triple", "power_graph"),
+    Attach: Spec("attach", (Arg(EXPR),), _plus_one, "attach_root_triple", "attach_root"),
 }
 
 # Worked out once from SPECS, so the traversals below do no per-node
 # introspection: keyword -> (class, args), class -> (keyword, ((field,
-# arg), ...)), and class -> the (field, variadic) pairs holding
-# sub-expressions.
+# arg), ...)), and class -> (field names, the (position, variadic) pairs of
+# the fields holding sub-expressions).
 _CLASSES = {spec.keyword: (cls, spec.args) for cls, spec in SPECS.items()}
 _LAYOUT = {
     cls: (spec.keyword, tuple(zip((f.name for f in fields(cls)), spec.args)))
     for cls, spec in SPECS.items()
 }
-_CHILD_FIELDS = {
-    cls: tuple((field, arg.kind == EXPRS) for field, arg in layout if arg.kind in (EXPR, EXPRS))
+_SHAPE = {
+    cls: (
+        tuple(field for field, _ in layout),
+        tuple((i, arg.kind == EXPRS) for i, (_, arg) in enumerate(layout) if arg.kind in (EXPR, EXPRS)),
+    )
     for cls, (_, layout) in _LAYOUT.items()
 }
 
@@ -177,36 +202,45 @@ def _unknown(node: Any) -> ValidationError:
     return ValidationError(f"unknown expression node {node!r}")
 
 
-def fold(expr: TopologyExpr, ops: dict[type, Callable[[Any, list], Any]]) -> Any:
+def fold(expr: TopologyExpr, ops: dict[type, Callable[..., Any]]) -> Any:
     """Post-order fold with an explicit stack.
 
-    Each node becomes ``ops[type(node)](node, values)``, where ``values``
-    lists the results for its sub-expressions in field order (empty for a
-    primitive). Nodes are never hashed or compared.
+    Each node becomes ``ops[type(node)](*fields)``: its fields in field
+    order, a sub-expression replaced by its result and a tuple of
+    sub-expressions by the list of theirs. Nodes are never hashed or
+    compared.
     """
     results: list = []
-    stack: list = [(expr, None)]
+    # (node, None, None) is a first visit; (node, values, children) waits
+    # for its children's results with its field values already read.
+    stack: list = [(expr, None, None)]
     while stack:
-        node, count = stack.pop()
-        if count is None:
+        node, values, children = stack.pop()
+        if values is None:
             try:
-                child_fields = _CHILD_FIELDS[type(node)]
+                names, children = _SHAPE[type(node)]
             except KeyError:
                 raise _unknown(node) from None
-            values: list = []
-            for field, variadic in child_fields:
-                if variadic:
-                    values.extend(getattr(node, field))
-                else:
-                    values.append(getattr(node, field))
-            if values:  # revisit the node once its children are folded
-                stack.append((node, len(values)))
-                stack.extend([(child, None) for child in reversed(values)])
+            values = []
+            for name in names:  # a comprehension costs a frame per node
+                values.append(getattr(node, name))
+            if children:
+                stack.append((node, values, children))
+                for i, variadic in reversed(children):
+                    if variadic:
+                        stack.extend([(child, None, None) for child in reversed(values[i])])
+                    else:
+                        stack.append((values[i], None, None))
                 continue
         else:
-            values = results[-count:]
-            del results[-count:]
-        results.append(ops[type(node)](node, values))
+            for i, variadic in reversed(children):
+                if variadic:
+                    cut = len(results) - len(values[i])
+                    values[i] = results[cut:]
+                    del results[cut:]
+                else:
+                    values[i] = results.pop()
+        results.append(ops[type(node)](*values))
     return results[0]
 
 
@@ -386,25 +420,22 @@ def estimated_size(expr: TopologyExpr) -> int:
     return fold(expr, _SIZE_OPS)
 
 
-def _render_node(node: TopologyExpr, texts: list[str]) -> str:
-    keyword, layout = _LAYOUT[type(node)]
+def _render_node(keyword: str, *values: Any) -> str:
+    """``keyword(...)`` of the field values: integers in full, rendered
+    sub-expressions as they are, a variadic field's items in turn."""
     parts: list[str] = []
-    texts_left = iter(texts)
-    for field, arg in layout:
-        if arg.kind == INT:
-            parts.append(str(getattr(node, field)))
-        elif arg.kind == INTS:
-            parts.extend(map(str, getattr(node, field)))
-        elif arg.kind == EXPR:
-            parts.append(next(texts_left))
-        else:
-            parts.extend(texts_left)
+    for value in values:
+        for item in value if isinstance(value, (tuple, list)) else (value,):
+            parts.append(item if isinstance(item, str) else decimal_text(item))
     return f"{keyword}({','.join(parts)})"
 
 
-_RENDER_OPS = dict.fromkeys(SPECS, _render_node)
+_RENDER_OPS = {cls: partial(_render_node, spec.keyword) for cls, spec in SPECS.items()}
 
 
 def render(expr: TopologyExpr) -> str:
-    """Canonical text form; ``parse(render(e))`` reproduces ``e``."""
+    """Canonical text form. ``parse(render(e))`` reproduces ``e`` when every
+    integer in ``e`` is one the parser accepts: nonnegative, with at most
+    ``sys.get_int_max_str_digits()`` digits. Other integers, which only a
+    node built in Python can hold, are written in full all the same."""
     return fold(expr, _RENDER_OPS)

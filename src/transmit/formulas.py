@@ -223,24 +223,8 @@ def gf_series(arity: int, terms: int) -> SeriesTerms:
     return SeriesTerms(arity, coefficients)
 
 
-# One closed form per node class. Entries look the functions up by name at
-# call time, so wrapping a module attribute (as a tracer does) still sees
-# every call.
-_TRIPLE_OPS = {
-    dsl.Complete: lambda e, _: complete_triple(e.n),
-    dsl.Cycle: lambda e, _: cycle_triple(e.n),
-    dsl.Star: lambda e, _: star_triple(e.n),
-    dsl.Path: lambda e, _: path_triple(e.n),
-    dsl.Mesh: lambda e, _: mesh_triple(e.dims),
-    dsl.Tree: lambda e, _: tree_triple(e.arity, e.depth),
-    dsl.Wedge: lambda _, parts: wedge_triple(parts),
-    dsl.RootedProduct: lambda _, gh: rooted_product_triple(*gh),
-    dsl.Power: lambda e, base: power_triple(base[0], e.exponent),
-    dsl.Attach: lambda _, child: attach_root_triple(child[0]),
-}
-
-
 def evaluate_expr(expr: TopologyExpr) -> TransmissionTriple:
-    """Bottom-up closed-form evaluation of a validated expression."""
+    """Bottom-up closed-form evaluation of a validated expression, each node
+    by the closed form its :data:`~transmit.dsl.SPECS` row names."""
     dsl.require_valid(expr)
-    return dsl.fold(expr, _TRIPLE_OPS)
+    return dsl.fold(expr, {cls: globals()[spec.triple] for cls, spec in dsl.SPECS.items()})

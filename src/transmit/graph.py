@@ -126,14 +126,9 @@ def bfs_levels(g: RootedGraph, source: int) -> list[int]:
     return levels
 
 
-def vertex_transmission(g: RootedGraph, v: int) -> int:
-    """Sum of hop distances from ``v`` to every vertex."""
-    return transmission(bfs_levels(g, v))
-
-
 def root_transmission(g: RootedGraph) -> int:
     """Transmission of the root: sum of distances root -> every vertex."""
-    return vertex_transmission(g, 0)
+    return transmission(bfs_levels(g, 0))
 
 
 def _bitset_distance_counts(g: RootedGraph) -> list[int]:

@@ -200,16 +200,16 @@ def reference_power(g: RootedGraph, k: int) -> RootedGraph:
 
 
 _REFERENCE_OPS = {
-    dsl.Complete: lambda e, _: reference_complete(e.n),
-    dsl.Cycle: lambda e, _: reference_cycle(e.n),
-    dsl.Star: lambda e, _: reference_star(e.n),
-    dsl.Path: lambda e, _: reference_path(e.n),
-    dsl.Mesh: lambda e, _: reference_mesh(e.dims),
-    dsl.Tree: lambda e, _: reference_tree(e.arity, e.depth),
-    dsl.Wedge: lambda _, parts: reference_wedge(parts),
-    dsl.RootedProduct: lambda _, gh: reference_rooted_product(*gh),
-    dsl.Power: lambda e, base: reference_power(base[0], e.exponent),
-    dsl.Attach: lambda _, child: reference_attach(child[0]),
+    dsl.Complete: reference_complete,
+    dsl.Cycle: reference_cycle,
+    dsl.Star: reference_star,
+    dsl.Path: reference_path,
+    dsl.Mesh: reference_mesh,
+    dsl.Tree: reference_tree,
+    dsl.Wedge: reference_wedge,
+    dsl.RootedProduct: reference_rooted_product,
+    dsl.Power: reference_power,
+    dsl.Attach: reference_attach,
 }
 
 

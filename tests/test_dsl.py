@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 
+from transmit import builders, formulas
 from transmit.dsl import (
+    SPECS,
     Attach,
     Complete,
     Cycle,
@@ -163,18 +169,18 @@ class TestDeepNesting:
         expr = parse("rprod(wedge(star(1),path(2)),power(cycle(3),2))")
         seen = []
 
-        def record(node, values):
-            seen.append((type(node).__name__, tuple(values)))
-            return type(node).__name__
+        def record(name, *fields):
+            seen.append((name, fields))
+            return name
 
-        ops = dict.fromkeys((Star, Path, Wedge, Cycle, Power, RootedProduct), record)
+        ops = {cls: partial(record, cls.__name__) for cls in (Star, Path, Wedge, Cycle, Power, RootedProduct)}
         assert fold(expr, ops) == "RootedProduct"
         assert seen == [
-            ("Star", ()),
-            ("Path", ()),
-            ("Wedge", ("Star", "Path")),
-            ("Cycle", ()),
-            ("Power", ("Cycle",)),
+            ("Star", (1,)),
+            ("Path", (2,)),
+            ("Wedge", (["Star", "Path"],)),
+            ("Cycle", (3,)),
+            ("Power", ("Cycle", 2)),
             ("RootedProduct", ("Wedge", "Power")),
         ]
 
@@ -191,6 +197,47 @@ class TestEstimatedSize:
     def test_attach_and_product(self):
         assert estimated_size(Attach(Cycle(9))) == 10
         assert estimated_size(RootedProduct(Cycle(4), Star(2))) == 12
+
+
+# One node of each class, for the checks that go row by row through SPECS.
+SAMPLES = {
+    Complete: Complete(3),
+    Cycle: Cycle(4),
+    Star: Star(2),
+    Path: Path(3),
+    Mesh: Mesh((2, 3)),
+    Tree: Tree(2, 2),
+    Wedge: Wedge((Path(2), Star(1))),
+    RootedProduct: RootedProduct(Path(2), Cycle(3)),
+    Power: Power(Path(2), 3),
+    Attach: Attach(Star(1)),
+}
+
+
+def test_samples_cover_the_node_table():
+    assert SAMPLES.keys() == SPECS.keys()
+
+
+@pytest.mark.parametrize("cls", list(SPECS), ids=[spec.keyword for spec in SPECS.values()])
+def test_node_table_names_functions_that_take_the_fields(cls):
+    spec = SPECS[cls]
+    fields = [getattr(SAMPLES[cls], f.name) for f in dataclasses.fields(cls)]
+    for function in (getattr(formulas, spec.triple), getattr(builders, spec.graph), spec.size):
+        assert callable(function)
+        inspect.signature(function).bind(*fields)
+
+
+class TestRender:
+    @pytest.mark.parametrize(
+        "expr, text",
+        [
+            (Wedge((Mesh((2, 3)), Power(Attach(Path(2)), 4))), "wedge(mesh(2,3),power(attach(path(2)),4))"),
+            # more digits than str() converts, so only a node built in Python holds it
+            (Complete(10**5000), "complete(1" + "0" * 5000 + ")"),
+        ],
+    )
+    def test_examples(self, expr, text):
+        assert render(expr) == text
 
 
 @settings(max_examples=150, deadline=None)

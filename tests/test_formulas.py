@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import transmit.formulas
 from transmit.builders import build_expr
 from transmit.dsl import Complete, Cycle, Mesh, Path, Star, Wedge, parse
 from transmit.errors import InexactDivisionError, ValidationError
@@ -308,6 +309,23 @@ class TestEvaluateExpr:
         assert t.size == 2**40
         a, b = power_coefficients(2, 40)
         assert t.delta == 2 * a + b
+
+    def test_closed_forms_are_looked_up_at_call_time(self, monkeypatch):
+        """A wrapped module attribute, as a tracer installs, sees every call."""
+        calls = []
+
+        def counting(name, closed_form):
+            def wrapper(*args):
+                calls.append(name)
+                return closed_form(*args)
+
+            return wrapper
+
+        for name in ("tree_triple", "power_triple"):
+            monkeypatch.setattr(transmit.formulas, name, counting(name, getattr(transmit.formulas, name)))
+        t = evaluate_expr(parse("wedge(tree(2,3),power(path(2),3))"))
+        assert sorted(calls) == ["power_triple", "tree_triple"]
+        assert t == wedge_triple([tree_triple(2, 3), power_triple(path_triple(2), 3)])
 
 
 @settings(max_examples=60, deadline=None)

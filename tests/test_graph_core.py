@@ -18,7 +18,6 @@ from transmit.graph import (
     graph_transmission,
     root_transmission,
     transmission,
-    vertex_transmission,
 )
 
 from expr_corpus import oracle_corpus
@@ -189,13 +188,13 @@ class TestConnectivity:
             with pytest.raises(ConnectivityError):
                 graph_transmission(g)
             with pytest.raises(ConnectivityError):
-                vertex_transmission(g, 0)
+                transmission(bfs_levels(g, 0))
             with pytest.raises(ConnectivityError):
                 root_transmission(g)
             with pytest.raises(ConnectivityError):
                 distance_histogram(g)
         with pytest.raises(ConnectivityError):
-            vertex_transmission(isolated_root, 1)
+            transmission(bfs_levels(isolated_root, 1))
 
 
 @pytest.mark.parametrize("command, calls", [("verify", 7 + 1), ("hist", 7)])
@@ -230,11 +229,11 @@ def test_shallow_graph_needs_only_the_first_bfs(monkeypatch, oracle):
 class TestTransmission:
     def test_star_center_and_leaf(self):
         g = built("star(3)")
-        assert vertex_transmission(g, 0) == 3
-        assert vertex_transmission(g, 1) == 5
+        assert transmission(bfs_levels(g, 0)) == 3
+        assert transmission(bfs_levels(g, 1)) == 5
 
     def test_single_vertex(self):
-        assert vertex_transmission(SINGLE, 0) == 0
+        assert transmission(bfs_levels(SINGLE, 0)) == 0
         assert root_transmission(SINGLE) == 0
         assert graph_transmission(SINGLE) == 0
 
@@ -248,7 +247,7 @@ class TestTransmission:
 
     def test_equals_sum_over_vertices(self):
         g = built("tree(2,2)")
-        total = sum(vertex_transmission(g, v) for v in range(g.vertex_count))
+        total = sum(transmission(bfs_levels(g, v)) for v in range(g.vertex_count))
         assert graph_transmission(g) == total
 
 
