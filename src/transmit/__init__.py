@@ -24,7 +24,7 @@ from .graph import (
     graph_transmission,
     root_transmission,
 )
-from .metrics import TopologyReport, compare_rank, summarize
+from .metrics import compare_rank, summarize
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,6 @@ __all__ = [
     "ResourceLimitError",
     "RootedGraph",
     "TopologyParseError",
-    "TopologyReport",
     "TransmissionTriple",
     "TransmitError",
     "ValidationError",

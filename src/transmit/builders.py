@@ -137,16 +137,15 @@ def power_graph(g: tuple, k: int) -> tuple:
 
 
 def build_expr(expr: TopologyExpr, max_vertices: int = DEFAULT_VERTEX_CAP) -> RootedGraph:
-    """Materialize a validated expression, bottom-up, as one validated graph.
+    """Materialize an expression, bottom-up, as one validated graph.
 
-    The exact size is computed up front, so an oversized expression fails
-    fast with the estimate attached. This is the package's only vertex
-    cap: sizes only grow towards the root, so no intermediate graph is
-    larger than the final one. The oracle measures only graphs built
+    The exact size is computed up front, which validates the expression,
+    so an oversized expression fails fast with the estimate attached. This
+    is the package's only vertex cap: sizes only grow towards the root, so
+    no intermediate graph is larger than the final one. The oracle measures only graphs built
     here, and only the final one is validated. Each node is built by the
     builder its :data:`~transmit.dsl.SPECS` row names.
     """
-    dsl.require_valid(expr)
     size = dsl.estimated_size(expr)
     if size > max_vertices:
         raise ResourceLimitError(size, max_vertices)

@@ -11,6 +11,7 @@ import csv as csv_module
 import decimal
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .formulas import TransmissionTriple, evaluate_expr, gf_series, tree_triple
 from .graph import distance_histogram, graph_transmission, root_transmission, transmission
-from .metrics import TopologyReport, compare_rank, summarize
+from .metrics import compare_rank, summarize
 
 FORMATS = ("table", "json", "csv")
 
@@ -66,11 +67,24 @@ def _decimal_display(value: Fraction) -> str:
         return str(decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator))
 
 
+#: The exponent of a decimal as Fraction reads it: the text's last token.
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def _parse_fraction(text: str, option: str) -> Fraction:
+    # Fraction multiplies by 10 ** exponent, which runs for minutes on a huge one,
+    # so an exponent past the digit limit the parser applies to integer
+    # literals is refused; the text is first read with exponent 0, so a
+    # malformed one still gets the usual message.
+    limit = sys.get_int_max_str_digits()
+    exponent = _EXPONENT.search(text)
     try:
-        value = Fraction(text)
+        too_far = bool(limit and exponent and abs(int(exponent[1])) > limit)
+        value = Fraction(text[: exponent.start(1)] + "0" if too_far else text)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"{option} must be a decimal number, got {text!r}")
+    if too_far:
+        raise ValidationError(f"{option} exponent must be at most {limit} in magnitude, got {text!r}")
     if value < 0:
         raise ValidationError(f"{option} must be nonnegative, got {text}")
     return value
@@ -124,19 +138,6 @@ def _emit(fmt: str, output) -> None:
         click.echo(line.rstrip(), file=sys.stdout)
 
 
-def _report_fields(report: TopologyReport) -> dict[str, int | str | Fraction | None]:
-    """Every report field by name, in output order."""
-    return {
-        "expr": report.expression_text,
-        "size": report.triple.size,
-        "delta": report.triple.delta,
-        "delta0": report.triple.delta0,
-        "mean_all": report.mean_all,
-        "mean_distinct": report.mean_distinct,
-        "expected_messages": report.expected_messages,
-    }
-
-
 @click.group()
 @click.version_option(__version__, prog_name="transmit")
 def cli():
@@ -159,16 +160,15 @@ def eval_cmd(expr_text: str, rate: str | None, time_: str | None, fmt: str) -> i
         _parse_fraction(rate, "--rate") if rate is not None else None,
         _parse_fraction(time_, "--time") if time_ is not None else None,
     )
-    fields = _report_fields(report)
     if fmt == "json":
-        output = {name: _cell(value, fmt) for name, value in fields.items()}
+        output = {name: _cell(value, fmt) for name, value in report.items()}
     elif fmt == "csv":
-        output = [fields.keys(), fields.values()]
+        output = [report.keys(), report.values()]
     else:
         # The table leaves out the expected message volume when none was asked for.
-        if report.expected_messages is None:
-            del fields["expected_messages"]
-        output = fields.items()
+        if report["expected_messages"] is None:
+            del report["expected_messages"]
+        output = report.items()
     _emit(fmt, output)
     return 0
 
@@ -225,7 +225,7 @@ def compare(expr_texts: tuple[str, ...], sort_key: str, fmt: str) -> int:
         reports.append(summarize(text, triple))
     key = "mean_distinct" if sort_key == "mean" else sort_key
     ranked = compare_rank(reports, key)
-    fields = [{"rank": rank, **_report_fields(r)} for rank, r in enumerate(ranked, 1)]
+    fields = [{"rank": rank, **report} for rank, report in enumerate(ranked, 1)]
     if fmt == "json":
         cells = [{name: _cell(value, fmt) for name, value in f.items()} for f in fields]
         output = {"sort": sort_key, "reports": cells}

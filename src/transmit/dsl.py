@@ -416,7 +416,12 @@ _SIZE_OPS = {cls: spec.size for cls, spec in SPECS.items()}
 
 
 def estimated_size(expr: TopologyExpr) -> int:
-    """Exact vertex count of the built graph, without building it."""
+    """Exact vertex count of the built graph, without building it.
+
+    Raises ValidationError, as :func:`require_valid` does, for an expression
+    no graph is built from.
+    """
+    require_valid(expr)
     return fold(expr, _SIZE_OPS)
 
 

@@ -7,22 +7,10 @@ downstream and never feed back into ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
 from .formulas import TransmissionTriple
-
-
-@dataclass(frozen=True)
-class TopologyReport:
-    """Per-expression summary used for comparison and rendering."""
-
-    expression_text: str
-    triple: TransmissionTriple
-    mean_all: Fraction
-    mean_distinct: Fraction | None
-    expected_messages: Fraction | None
 
 
 def summarize(
@@ -30,40 +18,43 @@ def summarize(
     triple: TransmissionTriple,
     rate: Fraction | None = None,
     time: Fraction | None = None,
-) -> TopologyReport:
-    """Derive mean distances and, when rate and time are both given, the
-    expected message volume rate * time * delta.
+) -> dict[str, str | int | Fraction | None]:
+    """The report of one expression: its fields by name, in the order the
+    CLI prints them.
 
-    ``mean_distinct`` is absent for a single vertex (no distinct pairs).
+    ``expr``, ``size``, ``delta`` and ``delta0`` restate the text and the
+    triple; ``mean_all`` and ``mean_distinct`` are delta over the ordered
+    pairs of all and of distinct vertices; ``expected_messages`` is
+    rate * time * delta. A missing value is ``None``: ``mean_distinct`` for a
+    single vertex (no distinct pairs), ``expected_messages`` unless rate and
+    time are both given.
     """
     if rate is not None and rate < 0:
         raise ValidationError(f"rate must be nonnegative, got {rate}")
     if time is not None and time < 0:
         raise ValidationError(f"time must be nonnegative, got {time}")
-    n = triple.size
-    mean_all = Fraction(triple.delta, n * n)
-    mean_distinct = Fraction(triple.delta, n * (n - 1)) if n >= 2 else None
-    expected = None
-    if rate is not None and time is not None:
-        expected = rate * time * triple.delta
-    return TopologyReport(expression_text, triple, mean_all, mean_distinct, expected)
+    n, delta = triple.size, triple.delta
+    return {
+        "expr": expression_text,
+        "size": n,
+        "delta": delta,
+        "delta0": triple.delta0,
+        "mean_all": Fraction(delta, n * n),
+        "mean_distinct": Fraction(delta, n * (n - 1)) if n >= 2 else None,
+        "expected_messages": rate * time * delta if rate is not None and time is not None else None,
+    }
 
 
-#: Exact ranking key of each ``compare_rank`` sort name.
-SORT_KEYS = {
-    "mean_distinct": lambda r: r.mean_distinct if r.mean_distinct is not None else Fraction(0),
-    "delta": lambda r: r.triple.delta,
-    "size": lambda r: r.triple.size,
-}
+#: The report fields ``compare_rank`` can sort by.
+SORT_KEYS = ("mean_distinct", "delta", "size")
 
 
-def compare_rank(reports: list[TopologyReport], key: str) -> list[TopologyReport]:
-    """Stable ascending sort by an exact key; ties keep input order.
-
-    A missing ``mean_distinct`` (single-vertex topology) sorts first.
-    """
+def compare_rank(reports: list[dict], key: str) -> list[dict]:
+    """Stable ascending sort of reports by the exact value of one field;
+    ties keep input order and a missing value (``None``, the
+    ``mean_distinct`` of a single vertex) sorts first."""
     if not reports:
         raise ValidationError("nothing to rank")
     if key not in SORT_KEYS:
-        raise ValidationError(f"sort key must be one of {tuple(SORT_KEYS)}, got {key!r}")
-    return sorted(reports, key=SORT_KEYS[key])
+        raise ValidationError(f"sort key must be one of {SORT_KEYS}, got {key!r}")
+    return sorted(reports, key=lambda r: (r[key] is not None, r[key]))

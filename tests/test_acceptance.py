@@ -157,7 +157,7 @@ def test_criterion_7_property_suite_on_random_expressions():
         if estimated_size(expr) != n:
             failures.append(f"#{index}: estimated size {estimated_size(expr)} != {n}")
         report = summarize("x", triple)
-        if n >= 2 and report.mean_distinct * (n * (n - 1)) != triple.delta:
+        if n >= 2 and report["mean_distinct"] * (n * (n - 1)) != triple.delta:
             failures.append(f"#{index}: mean_distinct identity broken")
 
     # permutation invariance of the wedge, over triples drawn from the corpus

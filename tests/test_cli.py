@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import transmit.cli
+import transmit.dsl
 from transmit.cli import main
 from transmit.dsl import SPECS, render
 from transmit.formulas import path_triple
@@ -110,6 +111,32 @@ class TestEval:
         narrow = decimal.Context(Emax=99, Emin=-99, rounding=decimal.ROUND_DOWN)
         with decimal.localcontext(narrow):
             assert [transmit.cli._decimal_display(v) for v in values] == expected
+
+    @pytest.mark.parametrize("option", ["--rate", "--time"])
+    @pytest.mark.parametrize("text", ["1e4300", "1E-4300", " +2.5e+04_300 ", "1.e-4300", ".5e4300"])
+    def test_exponent_at_the_digit_limit_is_accepted(self, capsys, option, text):
+        assert sys.get_int_max_str_digits() == 4300
+        other = "--time" if option == "--rate" else "--rate"
+        code, out, err = run(capsys, "eval", "path(2)", option, text, other, "1", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.startswith("expr,")
+
+    @pytest.mark.parametrize("option", ["--rate", "--time"])
+    @pytest.mark.parametrize(
+        "text", ["1e-4301", "1E4301", " -2.5e+0_4301 ", "1.e-999999999", ".5E999999999", "\u0661e" + "\u0669" * 9]
+    )
+    def test_exponent_past_the_digit_limit_is_refused(self, capsys, option, text):
+        # Fraction would compute 10 ** exponent, which at 999999999 runs for minutes
+        other = "--time" if option == "--rate" else "--rate"
+        code, out, err = run(capsys, "eval", "path(2)", option, text, other, "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: {option} exponent must be at most 4300 in magnitude, got {text!r}\n"
+
+    @pytest.mark.parametrize("text", ["1/2e9999", "1.de9999", "1e" + "9" * 4301])
+    def test_text_fraction_refuses_keeps_its_message(self, capsys, text):
+        code, out, err = run(capsys, "eval", "path(2)", "--rate", text, "--time", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: --rate must be a decimal number, got {text!r}\n"
 
     def test_rate_without_time_is_usage_error(self, capsys):
         code, out, err = run(capsys, "eval", "tree(2,2)", "--rate", "2")
@@ -229,6 +256,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "star(3)")
         assert code == 2
         assert out.endswith("MISMATCH\n")
+
+
+@pytest.mark.parametrize("argv, calls", [(["verify", "cycle(7)"], 2), (["hist", "cycle(7)"], 1), (["eval", "cycle(7)"], 1)])
+def test_each_engine_validates_once(capsys, monkeypatch, argv, calls):
+    # the closed form validates in evaluate_expr, the oracle in estimated_size
+    counted = []
+    validate = transmit.dsl.validate
+    monkeypatch.setattr(transmit.dsl, "validate", lambda expr: counted.append(expr) or validate(expr))
+    assert run(capsys, *argv)[0] == 0
+    assert len(counted) == calls
 
 
 class TestCompare:

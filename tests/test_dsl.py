@@ -28,7 +28,7 @@ from transmit.dsl import (
     render,
     validate,
 )
-from transmit.errors import TopologyParseError
+from transmit.errors import TopologyParseError, ValidationError
 from transmit.formulas import evaluate_expr
 
 from expr_strategies import expressions
@@ -197,6 +197,21 @@ class TestEstimatedSize:
     def test_attach_and_product(self):
         assert estimated_size(Attach(Cycle(9))) == 10
         assert estimated_size(RootedProduct(Cycle(4), Star(2))) == 12
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            (Power(Complete(3), -1), "$: power exponent must be >= 1"),
+            (Complete(-4), "$: complete size must be >= 1"),
+            (Wedge(()), "$: wedge needs at least one child"),
+        ],
+    )
+    def test_invalid_expression_is_refused(self, expr, message):
+        # without validation these fold to 1/3, -4 and 1, sizes no graph has
+        assert validate(expr) == [message]
+        with pytest.raises(ValidationError) as info:
+            estimated_size(expr)
+        assert str(info.value) == message
 
 
 # One node of each class, for the checks that go row by row through SPECS.

@@ -16,21 +16,27 @@ def report_for(text: str, triple: TransmissionTriple, **kw):
 
 
 class TestSummarize:
+    def test_fields_in_output_order(self):
+        r = report_for("star(3)", TransmissionTriple(4, 18, 3))
+        names = ["expr", "size", "delta", "delta0", "mean_all", "mean_distinct", "expected_messages"]
+        assert list(r) == names
+        assert [r[name] for name in names[:4]] == ["star(3)", 4, 18, 3]
+
     def test_star_means(self):
         r = report_for("star(3)", TransmissionTriple(4, 18, 3))
-        assert r.mean_all == Fraction(18, 16)
-        assert r.mean_distinct == Fraction(18, 12) == Fraction(3, 2)
-        assert r.expected_messages is None
+        assert r["mean_all"] == Fraction(18, 16)
+        assert r["mean_distinct"] == Fraction(18, 12) == Fraction(3, 2)
+        assert r["expected_messages"] is None
 
     def test_complete_mean_distinct_is_one(self):
         for n in range(2, 20):
             r = report_for(f"complete({n})", complete_triple(n))
-            assert r.mean_distinct == 1
+            assert r["mean_distinct"] == 1
 
     def test_single_vertex_has_no_distinct_mean(self):
         r = report_for("complete(1)", TransmissionTriple(1, 0, 0))
-        assert r.mean_all == 0
-        assert r.mean_distinct is None
+        assert r["mean_all"] == 0
+        assert r["mean_distinct"] is None
 
     def test_expected_messages(self):
         r = report_for(
@@ -39,11 +45,11 @@ class TestSummarize:
             rate=Fraction(2),
             time=Fraction(10),
         )
-        assert r.expected_messages == 1920
+        assert r["expected_messages"] == 1920
 
     def test_expected_messages_needs_both_inputs(self):
         r = report_for("star(2)", TransmissionTriple(3, 8, 2), rate=Fraction(2))
-        assert r.expected_messages is None
+        assert r["expected_messages"] is None
 
     def test_fractional_rate_and_time_stay_exact(self):
         r = report_for(
@@ -52,7 +58,7 @@ class TestSummarize:
             rate=Fraction("0.1"),
             time=Fraction("1.5"),
         )
-        assert r.expected_messages == Fraction(8 * 3, 20) == Fraction(6, 5)
+        assert r["expected_messages"] == Fraction(8 * 3, 20) == Fraction(6, 5)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValidationError):
@@ -62,8 +68,8 @@ class TestSummarize:
         for triple in (tree_triple(3, 3), complete_triple(17), TransmissionTriple(3, 8, 2)):
             r = report_for("x", triple)
             n = triple.size
-            assert r.mean_distinct * n * (n - 1) == triple.delta
-            assert r.mean_all < r.mean_distinct
+            assert r["mean_distinct"] * n * (n - 1) == triple.delta
+            assert r["mean_all"] < r["mean_distinct"]
 
 
 class TestCompareRank:
@@ -71,13 +77,13 @@ class TestCompareRank:
         star = report_for("star(3)", TransmissionTriple(4, 18, 3))
         complete = report_for("complete(4)", TransmissionTriple(4, 12, 3))
         ranked = compare_rank([star, complete], "mean_distinct")
-        assert [r.expression_text for r in ranked] == ["complete(4)", "star(3)"]
+        assert [r["expr"] for r in ranked] == ["complete(4)", "star(3)"]
 
     def test_by_delta(self):
         cycle5 = report_for("cycle(5)", TransmissionTriple(5, 30, 6))
         path5 = report_for("path(5)", TransmissionTriple(5, 40, 10))
         ranked = compare_rank([path5, cycle5], "delta")
-        assert [r.expression_text for r in ranked] == ["cycle(5)", "path(5)"]
+        assert [r["expr"] for r in ranked] == ["cycle(5)", "path(5)"]
 
     def test_single_report(self):
         only = report_for("star(1)", TransmissionTriple(2, 2, 1))
@@ -87,7 +93,7 @@ class TestCompareRank:
         a = report_for("first", TransmissionTriple(4, 18, 3))
         b = report_for("second", TransmissionTriple(4, 18, 3))
         ranked = compare_rank([a, b], "mean_distinct")
-        assert [r.expression_text for r in ranked] == ["first", "second"]
+        assert [r["expr"] for r in ranked] == ["first", "second"]
 
     def test_single_vertex_sorts_first_on_mean(self):
         dot = report_for("complete(1)", TransmissionTriple(1, 0, 0))
