@@ -61,12 +61,6 @@ _DISPLAY_CONTEXT = decimal.Context(
 )
 
 
-def _decimal_display(value: Fraction) -> str:
-    """Fixed 6-significant-digit rendering; display only, never computed with."""
-    with decimal.localcontext(_DISPLAY_CONTEXT):
-        return str(decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator))
-
-
 #: The exponent of a decimal as Fraction reads it: the text's last token.
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
@@ -99,7 +93,8 @@ def _cell(value: int | str | Fraction | None, fmt: str) -> str | dict | None:
 
     A rational prints as ``num/den (display)`` in a table, or as plain digits
     when its denominator is 1; as ``num/den`` in CSV; and as a
-    ``{"num", "den", "display"}`` object in JSON. A ``bool`` is an ``int`` here,
+    ``{"num", "den", "display"}`` object in JSON. The display is read back off
+    those digits, in time linear in their length. A ``bool`` is an ``int`` here,
     so callers pass booleans as their own text or JSON value.
     """
     if value is None:
@@ -111,9 +106,11 @@ def _cell(value: int | str | Fraction | None, fmt: str) -> str | dict | None:
     num, den = decimal_text(value.numerator), decimal_text(value.denominator)
     if fmt == "csv":
         return f"{num}/{den}"
+    with decimal.localcontext(_DISPLAY_CONTEXT):
+        display = str(decimal.Decimal(num) / decimal.Decimal(den))
     if fmt == "json":
-        return {"num": num, "den": den, "display": _decimal_display(value)}
-    return num if value.denominator == 1 else f"{num}/{den} ({_decimal_display(value)})"
+        return {"num": num, "den": den, "display": display}
+    return num if den == "1" else f"{num}/{den} ({display})"
 
 
 def _emit(fmt: str, output) -> None:

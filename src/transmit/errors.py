@@ -6,14 +6,42 @@ from __future__ import annotations
 import decimal
 
 
+#: Bit length above which ``decimal_text`` splits: ``decimal.Decimal(n)`` is
+#: quadratic in the length of ``n``, and splitting measured faster from here.
+_SPLIT_BITS = 40_000
+
+#: Exact integer arithmetic on decimals, whatever the caller's context.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[decimal.Inexact]
+)
+
+
 def decimal_text(n: int) -> str:
-    """Decimal digits of ``n`` at any length.
+    """Decimal digits of ``n`` at any length, in time close to linear in it.
 
     ``str(n)`` refuses ints longer than ``sys.get_int_max_str_digits()``;
     the conversion through :class:`decimal.Decimal` has no such limit and,
     unlike ``sys.set_int_max_str_digits``, changes nothing process-wide.
+    Both are quadratic, so an ``n`` past ``_SPLIT_BITS`` is split by bits,
+    ``n = high * 2**k + low``, and the halves' decimals are joined with the
+    fast exact multiplication of :mod:`decimal`.
     """
-    return str(decimal.Decimal(n))
+    if n.bit_length() <= _SPLIT_BITS:
+        return str(decimal.Decimal(n))
+    digits = str(_exact_decimal(abs(n), n.bit_length(), {}))
+    return "-" + digits if n < 0 else digits
+
+
+def _exact_decimal(m: int, bits: int, powers: dict[int, decimal.Decimal]) -> decimal.Decimal:
+    """``0 <= m < 2**bits`` as a decimal; ``powers`` caches ``2**k`` by ``k``."""
+    if bits <= _SPLIT_BITS:
+        return decimal.Decimal(m)
+    half = bits // 2
+    if half not in powers:
+        powers[half] = _EXACT.power(2, half)
+    high = m >> half
+    high_part = _EXACT.multiply(_exact_decimal(high, bits - half, powers), powers[half])
+    return _EXACT.add(high_part, _exact_decimal(m - (high << half), half, powers))
 
 
 class TransmitError(Exception):

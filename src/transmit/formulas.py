@@ -23,7 +23,7 @@ from functools import reduce
 
 from . import dsl
 from .dsl import TopologyExpr
-from .errors import InexactDivisionError, ValidationError
+from .errors import InexactDivisionError, ValidationError, decimal_text
 
 
 def exact_div(numerator: int, denominator: int) -> int:
@@ -31,7 +31,7 @@ def exact_div(numerator: int, denominator: int) -> int:
     quotient, remainder = divmod(numerator, denominator)
     if remainder != 0:
         raise InexactDivisionError(
-            f"{numerator} is not divisible by {denominator}"
+            f"{decimal_text(numerator)} is not divisible by {decimal_text(denominator)}"
         )
     return quotient
 
@@ -50,22 +50,23 @@ class TransmissionTriple:
 
     def __post_init__(self):
         if self.size < 1:
-            raise ValidationError(f"size must be >= 1, got {self.size}")
+            raise ValidationError(f"size must be >= 1, got {decimal_text(self.size)}")
         if self.delta < 0 or self.delta0 < 0:
             raise ValidationError("transmissions must be nonnegative")
         if self.delta % 2 != 0:
-            raise ValidationError(f"delta must be even, got {self.delta}")
+            raise ValidationError(f"delta must be even, got {decimal_text(self.delta)}")
         if self.size >= 2 and self.delta < self.size * (self.size - 1):
             raise ValidationError(
-                f"delta {self.delta} below the distinct-pair floor for size {self.size}"
+                f"delta {decimal_text(self.delta)} below the distinct-pair floor"
+                f" for size {decimal_text(self.size)}"
             )
         if 2 * self.delta0 > self.delta:
             raise ValidationError(
-                f"delta0 {self.delta0} exceeds half of delta {self.delta}"
+                f"delta0 {decimal_text(self.delta0)} exceeds half of delta {decimal_text(self.delta)}"
             )
         if self.size >= 2 and self.delta0 < self.size - 1:
             raise ValidationError(
-                f"delta0 {self.delta0} below size - 1 = {self.size - 1}"
+                f"delta0 {decimal_text(self.delta0)} below size - 1 = {decimal_text(self.size - 1)}"
             )
 
 
@@ -82,10 +83,10 @@ class SeriesTerms:
 
     def __post_init__(self):
         expected = 2 * self.arity**2
-        leading = self.terms[0] if self.terms else "none"
-        if leading != expected:
+        if not self.terms or self.terms[0] != expected:
+            leading = decimal_text(self.terms[0]) if self.terms else "none"
             raise ValidationError(
-                f"leading term must be 2*arity^2 = {expected}, got {leading}"
+                f"leading term must be 2*arity^2 = {decimal_text(expected)}, got {leading}"
             )
 
 

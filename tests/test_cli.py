@@ -7,6 +7,7 @@ import decimal
 import gc
 import io
 import json
+import random
 import subprocess
 import sys
 import weakref
@@ -20,9 +21,12 @@ from hypothesis import strategies as st
 
 import transmit.cli
 import transmit.dsl
+import transmit.errors
+import transmit.formulas
 from transmit.cli import main
 from transmit.dsl import SPECS, render
-from transmit.formulas import path_triple
+from transmit.errors import decimal_text
+from transmit.formulas import TransmissionTriple, path_triple
 
 from expr_strategies import expressions
 from recurrences import power_coefficients, tree_recurrence
@@ -53,6 +57,35 @@ def binary_tree_10000():
 def test_digits_by_divmod():
     for n in (0, 7, 10**6, 123_456_789_000_001, 10**2500 + 17):
         assert digits_by_divmod(n, chunk=3) == str(n)
+
+
+def int_from_digits(text: str) -> int:
+    """The integer a decimal text of any length reads as: ``int()`` on pieces
+    under the digit limit, halves joined by multiplication."""
+    if len(text) <= 4000:
+        return int(text)
+    low = len(text) // 2
+    return int_from_digits(text[:-low]) * 10**low + int_from_digits(text[-low:])
+
+
+def test_decimal_text_matches_the_divmod_digits():
+    split = transmit.errors._SPLIT_BITS
+    rng = random.Random(3)
+    values = [0, 1, -1, 10**4300, 10**4300 - 1, 10**25000, 10**25000 - 1, -(10**25000) + 1]
+    for bits in (split - 1, split, split + 1, 2 * split + 1, 5 * split):
+        values += [2 ** (bits - 1), 2**bits - 1, rng.getrandbits(bits - 1) | 2 ** (bits - 1)]
+        values.append(-values[-1])
+    assert {abs(v).bit_length() for v in values} >= {split - 1, split, split + 1}
+    expected = ["-" * (v < 0) + digits_by_divmod(abs(v)) for v in values]
+    # past 10**6 digits, divmod takes seconds: the integer is built from its digits
+    text = "7" + "".join(rng.choices("0123456789", k=10**6))
+    n = int_from_digits(text)
+    narrow = decimal.Context(prec=3, Emax=99, Emin=-99, rounding=decimal.ROUND_DOWN, capitals=0)
+    assert [decimal_text(v) for v in values] == expected
+    assert decimal_text(n) == text
+    with decimal.localcontext(narrow):
+        assert [decimal_text(v) for v in values] == expected
+        assert decimal_text(-n) == "-" + text
 
 
 class TestEval:
@@ -107,10 +140,48 @@ class TestEval:
         # the caller's exponent range and rounding must not reach the display
         values = [Fraction(2 * 10**150), Fraction(2, 10**150), Fraction(2, 3)]
         expected = ["2.00000E+150", "2E-150", "0.666667"]
-        assert [transmit.cli._decimal_display(v) for v in values] == expected
+        assert [transmit.cli._cell(v, "json")["display"] for v in values] == expected
         narrow = decimal.Context(Emax=99, Emin=-99, rounding=decimal.ROUND_DOWN)
         with decimal.localcontext(narrow):
-            assert [transmit.cli._decimal_display(v) for v in values] == expected
+            assert [transmit.cli._cell(v, "json")["display"] for v in values] == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            Fraction(7),
+            Fraction(10**5000 + 3),
+            Fraction(1, 3 * 10**7),
+            Fraction(2, 10**150),
+            Fraction(123_456_789, 10**20),
+            Fraction(1_234_565, 10**6),
+            Fraction(1_234_575, 10**6),
+            Fraction(1_000_005, 10**7),
+            Fraction(9_999_995, 10),
+            Fraction(2, 3),
+            Fraction(2**200_000 // 3, 3**60_000),
+        ],
+        ids=lambda v: f"{v.numerator.bit_length()}/{v.denominator.bit_length()}bits",
+    )
+    def test_rational_cell_bytes(self, value, monkeypatch):
+        # the reference converts each integer again, the display from the
+        # integers themselves; _cell converts each once and reads the display back
+        p, q = value.numerator, value.denominator
+        num, den = str(decimal.Decimal(p)), str(decimal.Decimal(q))
+        context = decimal.Context(
+            prec=6, rounding=decimal.ROUND_HALF_EVEN, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+        )
+        display = str(context.divide(decimal.Decimal(p), decimal.Decimal(q)))
+        expected = {
+            "table": num if q == 1 else f"{num}/{den} ({display})",
+            "csv": f"{num}/{den}",
+            "json": {"num": num, "den": den, "display": display},
+        }
+        calls = []
+        monkeypatch.setattr(transmit.cli, "decimal_text", lambda n: calls.append(n) or decimal_text(n))
+        for fmt, cell in expected.items():
+            calls.clear()
+            assert transmit.cli._cell(value, fmt) == cell
+            assert calls == [p, q]
 
     @pytest.mark.parametrize("option", ["--rate", "--time"])
     @pytest.mark.parametrize("text", ["1e4300", "1E-4300", " +2.5e+04_300 ", "1.e-4300", ".5e4300"])
@@ -171,6 +242,20 @@ class TestEval:
         else:
             printed = list(csv.reader(io.StringIO(out)))[1][1:4]
         assert printed == expected
+
+    def test_formula_fault_on_a_huge_triple_exits_1(self, capsys, monkeypatch):
+        real = transmit.formulas.tree_triple
+
+        def odd_delta(arity, depth):
+            t = real(arity, depth)
+            return TransmissionTriple(t.size, t.delta + 1, t.delta0)
+
+        monkeypatch.setattr(transmit.formulas, "tree_triple", odd_delta)
+        delta = digits_by_divmod(real(2, 20_000).delta + 1)
+        assert len(delta) > sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "eval", "tree(2,20000)")
+        assert (code, out) == (1, "")
+        assert err == f"error: delta must be even, got {delta}\n"
 
     def test_deep_tree_matches_the_recurrence(self, capsys):
         code, out, err = run(capsys, "eval", "tree(3,3000)", "--format", "csv")

@@ -51,6 +51,46 @@ def test_exact_div():
         exact_div(7, 2)
 
 
+#: 10**5000 + 1, and its digits, past the digit limit of str().
+HUGE, HUGE_TEXT = 10**5000 + 1, "1" + "0" * 4999 + "1"
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: exact_div(HUGE, 10), InexactDivisionError, f"{HUGE_TEXT} is not divisible by 10"),
+        (lambda: exact_div(7, HUGE), InexactDivisionError, f"7 is not divisible by {HUGE_TEXT}"),
+        (lambda: TransmissionTriple(-HUGE, 0, 0), ValidationError, f"size must be >= 1, got -{HUGE_TEXT}"),
+        (lambda: TransmissionTriple(3, HUGE, 1), ValidationError, f"delta must be even, got {HUGE_TEXT}"),
+        (
+            lambda: TransmissionTriple(HUGE, 2, 1),
+            ValidationError,
+            f"delta 2 below the distinct-pair floor for size {HUGE_TEXT}",
+        ),
+        (
+            lambda: TransmissionTriple(3, HUGE + 1, HUGE),
+            ValidationError,
+            f"delta0 {HUGE_TEXT} exceeds half of delta {HUGE_TEXT[:-1]}2",
+        ),
+        (
+            lambda: TransmissionTriple(HUGE, HUGE**3 + 1, 1),
+            ValidationError,
+            f"delta0 1 below size - 1 = {HUGE_TEXT[:-1]}0",
+        ),
+        (
+            lambda: SeriesTerms(2, (HUGE,)),
+            ValidationError,
+            f"leading term must be 2*arity^2 = 8, got {HUGE_TEXT}",
+        ),
+    ],
+    ids=["numerator", "denominator", "size", "odd-delta", "pair-floor", "half-delta", "root-floor", "series"],
+)
+def test_fault_messages_write_integers_past_the_digit_limit(make, error, message):
+    with pytest.raises(error) as raised:
+        make()
+    assert str(raised.value) == message
+
+
 class TestTripleInvariants:
     def test_rejects_odd_delta(self):
         with pytest.raises(ValidationError):
