@@ -13,17 +13,22 @@ reproducible:
 - Cartesian and rooted product: (g, h) maps to g * |H| + h, so the root
   is (0, 0); g's edges join the copies of H at every h, or at h's root
   only in the rooted product;
-- attach: the new pendant root is 0, old vertices shift up by one.
+- attach: the new pendant root is 0, old vertices shift up by one, so
+  attach^k(g) is the path 0..k-1 with k-1 joined to g's root, which is
+  vertex k, and g's vertex w at w + k.
 
 Every graph is rooted at vertex 0. Each builder writes the strictly
 increasing adjacency rows of its graph straight from these rules and
-returns them; each combinator reads its parts' rows, so building costs
-O(V+E) per level. Only ``build_expr`` makes, and so validates, a
-``RootedGraph``.
+returns them; each combinator reads its parts' rows, at O(V+E) per level.
+An attach only counts: it returns a pending :class:`Chain`, which the
+combinator above it or ``build_expr`` writes out in one pass, so an attach
+chain costs O(V+E) in total. Only ``build_expr`` makes, and so validates,
+a ``RootedGraph``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import reduce
 
 from . import dsl
@@ -78,12 +83,41 @@ def tree_graph(arity: int, depth: int) -> tuple:
     return tuple(rows)
 
 
-def wedge_graphs(parts: list[tuple]) -> tuple:
+@dataclass(frozen=True)
+class Chain:
+    """attach^depth(rows), not yet written out: an attach over a chain
+    only adds one to its depth, so no level copies the rows below it."""
+
+    depth: int
+    rows: tuple
+
+
+def attach_root(g: tuple | Chain) -> Chain:
+    """Add a pendant vertex at the root and make the pendant the new root."""
+    if type(g) is Chain:
+        return Chain(g.depth + 1, g.rows)
+    return Chain(1, g)
+
+
+def chain_rows(depth: int, g: tuple) -> tuple:
+    """The rows of attach^depth(g), written in one pass over g's rows."""
+    rows = [(1,)] + [(i - 1, i + 1) for i in range(1, depth)]
+    rows += [tuple([w + depth for w in row]) for row in g]
+    rows[depth] = (depth - 1,) + rows[depth]
+    return tuple(rows)
+
+
+def _written(g: tuple | Chain) -> tuple:
+    """The rows of a builder's result, a pending chain written out."""
+    return chain_rows(g.depth, g.rows) if type(g) is Chain else g
+
+
+def wedge_graphs(parts: list[tuple | Chain]) -> tuple:
     """Glue all parts at their roots, vertex 0 of each, into vertex 0."""
     root_row = []
     rows = []
     shift = 0
-    for adjacency in parts:
+    for adjacency in map(_written, parts):
         # Each row is renumbered as it stands: the root stays 0, and so
         # first in every row that lists it; vertex w > 0 moves up by shift.
         moved = [tuple([w and w + shift for w in row]) for row in adjacency]
@@ -93,9 +127,10 @@ def wedge_graphs(parts: list[tuple]) -> tuple:
     return (tuple(root_row),) + tuple(rows)
 
 
-def _product_graphs(g: tuple, h: tuple, joined: range | tuple[int]) -> tuple:
+def _product_graphs(g: tuple | Chain, h: tuple | Chain, joined: range | tuple[int]) -> tuple:
     """One copy of h per vertex of g; g's edges join the copies at each
     vertex of h in ``joined``."""
+    g, h = _written(g), _written(h)
     nh = len(h)
     rows = []
     for gi, g_row in enumerate(g):
@@ -116,21 +151,15 @@ def cartesian_graphs(g: tuple, h: tuple) -> tuple:
     return _product_graphs(g, h, range(len(h)))
 
 
-def rooted_product_graphs(g: tuple, h: tuple) -> tuple:
+def rooted_product_graphs(g: tuple | Chain, h: tuple | Chain) -> tuple:
     """One copy of h per vertex of g; g's edges join the copies at h's root."""
     return _product_graphs(g, h, (0,))
 
 
-def attach_root(g: tuple) -> tuple:
-    """Add a pendant vertex at the root and make the pendant the new root."""
-    rows = [(1,)] + [tuple([w + 1 for w in row]) for row in g]
-    rows[1] = (0,) + rows[1]
-    return tuple(rows)
-
-
-def power_graph(g: tuple, k: int) -> tuple:
+def power_graph(g: tuple | Chain, k: int) -> tuple:
     """k-fold rooted product of g with itself. One vertex is its own power,
     and the cap lets it through at any k, so no product is run for it."""
+    g = _written(g)
     if len(g) == 1:
         return g
     return reduce(rooted_product_graphs, [g] * (k - 1), g)
@@ -150,4 +179,4 @@ def build_expr(expr: TopologyExpr, max_vertices: int = DEFAULT_VERTEX_CAP) -> Ro
     if size > max_vertices:
         raise ResourceLimitError(size, max_vertices)
     builders = {cls: globals()[spec.graph] for cls, spec in dsl.SPECS.items()}
-    return RootedGraph(dsl.fold(expr, builders))
+    return RootedGraph(_written(dsl.fold(expr, builders)))

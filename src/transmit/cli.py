@@ -14,6 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import Callable
 
 import click
 
@@ -36,7 +37,28 @@ FORMATS = ("table", "json", "csv")
 # Every click.echo below names its stream. Without ``file``, click looks
 # sys.stdout/sys.stderr up in a weak-keyed cache that holds the stream as
 # its own value, so a stream redirected by an in-process caller (an
-# io.StringIO under redirect_stdout) would never be freed.
+# io.StringIO under redirect_stdout) would never be freed. Click's own
+# --help and --version echo that way, so they are replaced by the two
+# flags below.
+
+
+def _printing_flag(name: str, description: str, text: Callable[[click.Context], str]):
+    """An eager flag that prints ``text(ctx)`` to stdout and exits 0."""
+
+    def callback(ctx: click.Context, _param: click.Parameter, value: bool) -> None:
+        if value and not ctx.resilient_parsing:
+            click.echo(text(ctx), file=sys.stdout)
+            ctx.exit()
+
+    return click.option(name, is_flag=True, expose_value=False, is_eager=True, callback=callback, help=description)
+
+
+# A command that declares --help gets no help option of click's. This one is
+# declared last on each command, so it is listed last, as click's would be.
+_help_option = _printing_flag("--help", "Show this message and exit.", click.Context.get_help)
+_version_option = _printing_flag(
+    "--version", "Show the version and exit.", lambda ctx: f"transmit, version {__version__}"
+)
 
 _format_option = click.option(
     "--format",
@@ -64,19 +86,26 @@ _DISPLAY_CONTEXT = decimal.Context(
 #: The exponent of a decimal as Fraction reads it: the text's last token.
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
+#: A run of digits as Fraction reads one, with underscores between digits.
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
+
 
 def _parse_fraction(text: str, option: str) -> Fraction:
-    # Fraction multiplies by 10 ** exponent, which runs for minutes on a huge one,
-    # so an exponent past the digit limit the parser applies to integer
-    # literals is refused; the text is first read with exponent 0, so a
-    # malformed one still gets the usual message.
+    # Fraction refuses a digit run past the limit the parser applies to integer
+    # literals, and multiplies by 10 ** exponent, which runs for minutes on a
+    # huge one. So the text is first read with each such run as 1 and an
+    # exponent past the limit as 0: a malformed text gets the usual message,
+    # and a well-formed one is refused with the limit it passes.
     limit = sys.get_int_max_str_digits()
-    exponent = _EXPONENT.search(text)
+    short = _DIGIT_RUN.sub(lambda run: "1" if 0 < limit < len(run[0].replace("_", "")) else run[0], text)
+    exponent = _EXPONENT.search(short)
     try:
         too_far = bool(limit and exponent and abs(int(exponent[1])) > limit)
-        value = Fraction(text[: exponent.start(1)] + "0" if too_far else text)
+        value = Fraction(short[: exponent.start(1)] + "0" if too_far else short)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"{option} must be a decimal number, got {text!r}")
+    if short != text:
+        raise ValidationError(f"{option} must have at most {limit} digits in a row, got {text!r}")
     if too_far:
         raise ValidationError(f"{option} exponent must be at most {limit} in magnitude, got {text!r}")
     if value < 0:
@@ -136,7 +165,8 @@ def _emit(fmt: str, output) -> None:
 
 
 @click.group()
-@click.version_option(__version__, prog_name="transmit")
+@_version_option
+@_help_option
 def cli():
     """Exact transmission calculator for composed network topologies."""
 
@@ -146,6 +176,7 @@ def cli():
 @click.option("--rate", default=None, help="Message rate per device pair (exact decimal).")
 @click.option("--time", "time_", default=None, help="Time span (exact decimal).")
 @_format_option
+@_help_option
 def eval_cmd(expr_text: str, rate: str | None, time_: str | None, fmt: str) -> int:
     """Evaluate EXPR with the closed-form engine (no size cap)."""
     if (rate is None) != (time_ is None):
@@ -173,6 +204,7 @@ def eval_cmd(expr_text: str, rate: str | None, time_: str | None, fmt: str) -> i
 @cli.command()
 @click.argument("expr_text", metavar="EXPR")
 @_cap_option
+@_help_option
 def verify(expr_text: str, max_vertices: int) -> int:
     """Check the closed-form triple of EXPR against the BFS oracle."""
     expr = parse(expr_text)
@@ -211,6 +243,7 @@ def verify(expr_text: str, max_vertices: int) -> int:
     help="Ranking key (mean = mean distance between different vertices).",
 )
 @_format_option
+@_help_option
 def compare(expr_texts: tuple[str, ...], sort_key: str, fmt: str) -> int:
     """Rank topologies by closed-form indicators, ascending."""
     reports = []
@@ -237,6 +270,7 @@ def compare(expr_texts: tuple[str, ...], sort_key: str, fmt: str) -> int:
 @click.option("--arity", type=int, required=True, help="Tree arity (>= 2).")
 @click.option("--terms", type=int, required=True, help="Number of coefficients (>= 1).")
 @_format_option
+@_help_option
 def series(arity: int, terms: int, fmt: str) -> int:
     """Generating-series coefficients vs the tree closed form (self-test)."""
     coefficients = gf_series(arity, terms)
@@ -268,6 +302,7 @@ def series(arity: int, terms: int, fmt: str) -> int:
 @click.argument("expr_text", metavar="EXPR")
 @_cap_option
 @_format_option
+@_help_option
 def hist(expr_text: str, max_vertices: int, fmt: str) -> int:
     """Distance histogram of EXPR from the BFS oracle, plus delta."""
     graph = build_expr(parse(expr_text), max_vertices)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ValidationError, decimal_text
 from .formulas import TransmissionTriple
 
 
@@ -29,10 +29,13 @@ def summarize(
     single vertex (no distinct pairs), ``expected_messages`` unless rate and
     time are both given.
     """
-    if rate is not None and rate < 0:
-        raise ValidationError(f"rate must be nonnegative, got {rate}")
-    if time is not None and time < 0:
-        raise ValidationError(f"time must be nonnegative, got {time}")
+    for name, value in (("rate", rate), ("time", time)):
+        if value is not None and value < 0:
+            # str(value) refuses a part longer than the interpreter converts
+            shown = decimal_text(value.numerator)
+            if value.denominator != 1:
+                shown += "/" + decimal_text(value.denominator)
+            raise ValidationError(f"{name} must be nonnegative, got {shown}")
     n, delta = triple.size, triple.delta
     return {
         "expr": expression_text,

@@ -14,6 +14,7 @@ from transmit.builders import (
     attach_root,
     build_expr,
     cartesian_graphs,
+    chain_rows,
     complete_graph,
     cycle_graph,
     mesh_graph,
@@ -22,6 +23,7 @@ from transmit.builders import (
     wedge_graphs,
 )
 from transmit.dsl import (
+    Attach,
     Complete,
     Cycle,
     Mesh,
@@ -44,7 +46,7 @@ from transmit.graph import (
 )
 
 from expr_corpus import oracle_corpus, random_expressions
-from expr_strategies import buildable_expressions
+from expr_strategies import buildable_expressions, primitives
 from oracle_util import (
     built,
     edges,
@@ -279,11 +281,12 @@ def test_build_expr_validates_only_the_final_graph(monkeypatch):
 )
 def test_a_bad_row_deep_inside_fails_the_final_validation(monkeypatch, fault, message):
     # attach(path(3)) is the first wedge part, so its vertices keep their
-    # numbers and the final graph fails with the text the part itself would
-    def faulty(g):
-        return fault(attach_root(g))
+    # numbers and the final graph fails with the text the part itself would;
+    # the fault goes where the wedge writes the pending chain out
+    def faulty(depth, g):
+        return fault(chain_rows(depth, g))
 
-    monkeypatch.setattr(transmit.builders, "attach_root", faulty)
+    monkeypatch.setattr(transmit.builders, "chain_rows", faulty)
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         build_expr(parse("wedge(attach(path(3)),star(2))"))
 
@@ -357,12 +360,68 @@ def rooted_graphs(draw, connected=False):
 def test_combinators_match_the_edge_list_reference_at_any_root(parts):
     rows = [p.adjacency for p in parts]
     assert RootedGraph(wedge_graphs(rows)) == reference_wedge(parts)
-    assert RootedGraph(attach_root(rows[0])) == reference_attach(parts[0])
     g, h = parts[0], parts[-1]
     rooted = RootedGraph(rooted_product_graphs(g.adjacency, h.adjacency))
     assert rooted == reference_rooted_product(g, h)
     cartesian = RootedGraph(cartesian_graphs(g.adjacency, h.adjacency))
     assert cartesian == reference_cartesian(g, h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rooted_graphs(), st.integers(1, 5))
+def test_attach_chains_match_the_k_fold_reference_at_any_root(g, depth):
+    chain, expected = g.adjacency, g
+    for _ in range(depth):
+        chain, expected = attach_root(chain), reference_attach(expected)
+    # no level copied the rows; they are written once, here
+    assert (chain.depth, chain.rows) == (depth, g.adjacency)
+    assert RootedGraph(chain_rows(chain.depth, chain.rows)) == expected
+
+
+def nest_attach(expr, depth: int):
+    for _ in range(depth):
+        expr = Attach(expr)
+    return expr
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 401, 3000])
+def test_an_attach_chain_over_one_vertex_is_a_path(n):
+    assert build_expr(nest_attach(Complete(1), n - 1)) == build_expr(Path(n))
+
+
+def test_an_attach_chain_is_written_once(monkeypatch):
+    written = []
+
+    def counting(depth, g):
+        written.append(depth)
+        return chain_rows(depth, g)
+
+    monkeypatch.setattr(transmit.builders, "chain_rows", counting)
+    assert build_expr(nest_attach(Path(2), 400)) == build_expr(Path(402))
+    assert written == [400]
+
+
+@st.composite
+def nested_chains(draw):
+    """A chain of depth 1..5 over a small expression, as a part of a wedge,
+    a factor of a rooted product or the base of a power, itself under an
+    attach chain or not."""
+    chain = nest_attach(draw(primitives()), draw(st.integers(1, 5)))
+    other = draw(primitives().filter(lambda e: estimated_size(e) <= 8))
+    where = draw(st.sampled_from(["wedge", "rprod left", "rprod right", "power"]))
+    if where == "wedge":
+        expr = Wedge((other, chain, nest_attach(other, 2)))
+    elif where == "power":
+        expr = Power(chain, draw(st.integers(1, 2)))
+    else:
+        expr = RootedProduct(chain, other) if where == "rprod left" else RootedProduct(other, chain)
+    return nest_attach(expr, draw(st.integers(0, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_chains().filter(lambda e: estimated_size(e) <= 600))
+def test_nested_attach_chains_match_the_edge_list_reference(expr):
+    assert build_expr(expr) == reference_build(expr)
 
 
 @settings(max_examples=100, deadline=None)

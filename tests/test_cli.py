@@ -203,11 +203,43 @@ class TestEval:
         assert (code, out) == (1, "")
         assert err == f"error: {option} exponent must be at most 4300 in magnitude, got {text!r}\n"
 
-    @pytest.mark.parametrize("text", ["1/2e9999", "1.de9999", "1e" + "9" * 4301])
+    @pytest.mark.parametrize("text", ["1/2e9999", "1.de9999", pytest.param("1.d" + "5" * 5000, id="1.d5...5")])
     def test_text_fraction_refuses_keeps_its_message(self, capsys, text):
         code, out, err = run(capsys, "eval", "path(2)", "--rate", text, "--time", "1")
         assert (code, out) == (1, "")
         assert err == f"error: --rate must be a decimal number, got {text!r}\n"
+
+    @pytest.mark.parametrize("option", ["--rate", "--time"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1" * 5000,
+            "-" + "1" * 4301,
+            "0." + "0" * 4300 + "1",
+            "1/" + "3" * 4301,
+            "1_" * 4300 + "1",
+            "1e" + "9" * 4301,
+            "\u0661" * 4301,
+        ],
+        ids=["integer", "negative", "fraction part", "denominator", "underscores", "exponent", "arabic-indic"],
+    )
+    def test_a_digit_run_past_the_limit_is_named(self, capsys, option, text):
+        # well formed, but Fraction cannot convert a run of more than 4300 digits
+        assert sys.get_int_max_str_digits() == 4300
+        other = "--time" if option == "--rate" else "--rate"
+        code, out, err = run(capsys, "eval", "path(2)", option, text, other, "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: {option} must have at most 4300 digits in a row, got {text!r}\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1" * 4300, "1_" * 4299 + "1", "1" * 4300 + "." + "1" * 4300],
+        ids=["integer", "underscores", "both parts"],
+    )
+    def test_digit_runs_at_the_limit_are_read(self, capsys, text):
+        code, out, err = run(capsys, "eval", "path(2)", "--rate", text, "--time", "1", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.startswith("expr,")
 
     def test_rate_without_time_is_usage_error(self, capsys):
         code, out, err = run(capsys, "eval", "tree(2,2)", "--rate", "2")
@@ -480,7 +512,7 @@ class TestUsage:
 
 def test_redirected_streams_are_not_kept_alive():
     refs = []
-    for argv in (["eval", "path(2)"], ["eval", "bogus("]):
+    for argv in (["eval", "path(2)"], ["eval", "bogus("], ["--version"], ["--help"], ["eval", "--help"]):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             main(argv)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from transmit.errors import ValidationError
-from transmit.formulas import TransmissionTriple, complete_triple, tree_triple
+from transmit.formulas import TransmissionTriple, complete_triple, path_triple, tree_triple
 from transmit.metrics import compare_rank, summarize
 
 
@@ -63,6 +63,23 @@ class TestSummarize:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValidationError):
             report_for("star(2)", TransmissionTriple(3, 8, 2), rate=Fraction(-1), time=Fraction(1))
+
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [
+            ("rate", Fraction(-3, 2), "-3/2"),
+            ("time", Fraction(-7), "-7"),
+            ("rate", Fraction(-(10**5000)), "-1" + "0" * 5000),
+            ("time", Fraction(-1, 10**5000), "-1/1" + "0" * 5000),
+        ],
+        ids=["rational rate", "integer time", "5001-digit rate", "5001-digit denominator"],
+    )
+    def test_negative_rate_or_time_is_refused_at_any_size(self, field, value, shown):
+        # str() of a Fraction refuses a part past the interpreter's digit limit
+        kw = {"rate": Fraction(1), "time": Fraction(1), field: value}
+        with pytest.raises(ValidationError) as info:
+            summarize("x", path_triple(3), **kw)
+        assert str(info.value) == f"{field} must be nonnegative, got {shown}"
 
     def test_mean_identity(self):
         for triple in (tree_triple(3, 3), complete_triple(17), TransmissionTriple(3, 8, 2)):
