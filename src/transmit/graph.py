@@ -17,13 +17,17 @@ BFS from vertex 0, which checks connectivity and gives its eccentricity
 e. When 8·e < V the graph is shallow and it counts all pairs with reach
 bitsets: O(diameter·E) ORs of ``_BLOCK``-bit integers per block of
 ``_BLOCK`` (2048) sources, in about 2·V·``_BLOCK``/8 bytes.
-Otherwise (long cycles and paths, deep chains) it adds up the levels of
-one BFS per remaining source.
+Otherwise, on a deep tree (paths, deep chains; V − 1 edges and connected),
+it counts all pairs in one bottom-up pass from vertex 0's level sizes:
+O(V) on a path, O(V·height) at worst, all but O(V) of it in C-level
+slices, in O(V) memory. On any other deep graph (long cycles) it adds up
+the levels of one BFS per remaining source.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import add
 
 from .errors import ConnectivityError, ValidationError
@@ -175,19 +179,87 @@ def _bitset_distance_counts(g: RootedGraph) -> list[int]:
     return counts
 
 
+def _tree_distance_counts(g: RootedGraph, levels: list[int]) -> list[int]:
+    """Ordered pairs by hop distance on a tree, from ``levels`` (vertex 0's
+    BFS level sizes) and one bottom-up pass.
+
+    A pair is a vertex and one of its ancestors, or turns at the one vertex
+    where its path does. Each vertex at depth k has one ancestor at each
+    distance 1..k, so the first kind at distance d number the vertices at
+    depth d or more. For the second kind, each vertex holds the depth
+    counts of its subtree, deepest first, so that a parent adopts its
+    deepest child's list and adds itself with one append. Every other
+    child first pairs with what is already there, one slice-wise product
+    per entry of the shorter list, then is added in. A path costs O(V);
+    all the products together cost O(V·height), in C-level slices.
+    """
+    n = g.vertex_count
+    adjacency = g.adjacency
+    parent = [-1] * n
+    order = [0]
+    for v in order:
+        p = parent[v]
+        for w in adjacency[v]:
+            if w != p:
+                parent[w] = v
+                order.append(w)
+    ecc = len(levels) - 1
+    top = 2 * ecc  # no path through vertex 0 is longer
+    # turning[top - d]: unordered pairs at distance d, so that one child's
+    # entry times another's whole list lands on one increasing slice. It
+    # starts with the ancestor pairs.
+    turning = [0] * (top + 1)
+    turning[top - ecc : top] = accumulate(reversed(levels[1:]))
+    below = [None] * n  # below[v][-1 - j]: vertices j levels under v
+    for v in reversed(order):
+        p = parent[v]
+        deep = None
+        for w in adjacency[v]:
+            if w == p:
+                continue
+            low = below[w]
+            if deep is None:
+                deep = low
+                continue
+            if len(low) > len(deep):
+                deep, low = low, deep
+            tall = len(deep)
+            short = len(low)
+            start = top - tall - short
+            for count in low:
+                turning[start : start + tall] = map(
+                    add, turning[start : start + tall], map(count.__mul__, deep)
+                )
+                start += 1
+            deep[-short:] = map(add, deep[-short:], low)
+        if deep is None:
+            deep = [1]
+        else:
+            deep.append(1)
+        below[v] = deep
+    counts = [2 * c for c in reversed(turning)]
+    counts[0] = n
+    while not counts[-1]:  # padding past the diameter
+        counts.pop()
+    return counts
+
+
 def distance_histogram(g: RootedGraph) -> list[int]:
     """Count ordered vertex pairs by hop distance: entry d for distance d,
     from 0 to the diameter.
 
     The BFS from vertex 0 alone decides whether an undirected graph is
-    connected, and its eccentricity ``len(levels) - 1`` picks the method
-    (see the module notes). Either way the work is quadratic, and the
-    vertex cap is ``build_expr``'s.
+    connected, and its eccentricity ``len(levels) - 1`` and the edge count
+    pick the method (see the module notes). Reach bitsets and the
+    per-source BFS do quadratic work; the tree pass does O(V) on a path and
+    at most O(V·height). The vertex cap is ``build_expr``'s.
     """
     n = g.vertex_count
     levels = bfs_levels(g, 0)
     if 8 * (len(levels) - 1) < n:
         counts = _bitset_distance_counts(g)
+    elif sum(map(len, g.adjacency)) == 2 * (n - 1):  # connected, so a tree
+        counts = _tree_distance_counts(g, levels)
     else:
         # No eccentricity exceeds twice vertex 0's: a path through 0 is that short.
         counts = levels + [0] * (len(levels) - 1)

@@ -196,6 +196,15 @@ class TestConnectivity:
         with pytest.raises(ConnectivityError):
             transmission(bfs_levels(isolated_root, 1))
 
+    def test_edge_count_of_a_tree_without_connectivity(self):
+        # A triangle and an isolated vertex: V - 1 edges, but no tree.
+        for root_alone in (False, True):
+            pairs = [(0, 1), (1, 2), (0, 2)]
+            if root_alone:
+                pairs = [(u + 1, v + 1) for u, v in pairs]
+            with pytest.raises(ConnectivityError, match=f"^{DISCONNECTED}$"):
+                distance_histogram(graph_from_edges(4, pairs))
+
 
 @pytest.mark.parametrize("command, calls", [("verify", 7 + 1), ("hist", 7)])
 def test_oracle_runs_one_bfs_per_source(monkeypatch, capsys, command, calls):
@@ -223,6 +232,21 @@ def test_shallow_graph_needs_only_the_first_bfs(monkeypatch, oracle):
 
     monkeypatch.setattr(transmit.graph, "bfs_levels", counting)
     oracle(built("mesh(16,16)"))
+    assert sources == [0]
+
+
+@pytest.mark.parametrize("text", ["path(50)", "attach(" * 40 + "path(2)" + ")" * 40])
+def test_deep_tree_needs_only_the_first_bfs(monkeypatch, text):
+    """A deep tree's pairs are counted in one bottom-up pass after the BFS
+    from vertex 0, not with one BFS per source."""
+    sources = []
+
+    def counting(g, source):
+        sources.append(source)
+        return bfs_levels(g, source)
+
+    monkeypatch.setattr(transmit.graph, "bfs_levels", counting)
+    assert main(["hist", text]) == 0
     assert sources == [0]
 
 
@@ -322,6 +346,47 @@ def test_bitset_counts_match_reference_at_small_width(graph):
             _assert_oracle_counts(g, reference)
             expected = [reference[d] for d in range(len(reference))]
             assert transmit.graph._bitset_distance_counts(g) == expected
+
+
+@st.composite
+def labelled_trees(draw, max_vertices: int = 80):
+    """A tree on 1..max_vertices vertices: each vertex after the first gets a
+    random earlier parent, then all are relabelled at random, so vertex 0 is
+    as often a leaf, a hub or mid-path as the root a builder would make."""
+    n = draw(st.integers(1, max_vertices))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    label = draw(st.permutations(range(n)))
+    return graph_from_edges(n, [(label[i], label[p]) for i, p in enumerate(parents, 1)])
+
+
+def _assert_tree_counts(g: RootedGraph) -> None:
+    reference = reference_distance_counts(g)
+    expected = [reference[d] for d in range(len(reference))]
+    assert transmit.graph._tree_distance_counts(g, bfs_levels(g, 0)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_trees())
+def test_tree_counts_match_reference(g):
+    _assert_tree_counts(g)
+
+
+def test_tree_counts_match_reference_on_corpus_trees():
+    """Shallow trees too, which ``distance_histogram`` counts with bitsets."""
+    graphs = map(built, oracle_corpus())
+    trees = [g for g in graphs if sum(map(len, g.adjacency)) == 2 * (g.vertex_count - 1)]
+    assert len(trees) > 100
+    for g in trees:
+        _assert_tree_counts(g)
+
+
+def test_histogram_of_a_20000_deep_attach_chain():
+    """attach^k(complete(1)) is a path on n = k + 1 vertices, with 2(n - d)
+    ordered pairs at each distance d from 1 to n - 1."""
+    k = 20000
+    n = k + 1
+    chain = built("attach(" * k + "complete(1)" + ")" * k)
+    assert distance_histogram(chain) == [n] + [2 * (n - d) for d in range(1, n)]
 
 
 @settings(max_examples=150, deadline=None)
