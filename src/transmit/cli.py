@@ -159,9 +159,8 @@ def _emit(fmt: str, output) -> None:
         click.echo(buffer.getvalue(), nl=False, file=sys.stdout)
         return
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    for row in rows:
-        line = "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
-        click.echo(line.rstrip(), file=sys.stdout)
+    lines = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in rows]
+    click.echo("\n".join(lines), file=sys.stdout)
 
 
 @click.group()

@@ -11,14 +11,15 @@ Grammar (ASCII whitespace permitted around tokens, input is a single expression)
 
 ``attach`` adds a pendant vertex to the root and re-roots there.
 
-Each node class is described once, in :data:`SPECS`: its keyword, its
-argument schema (kind, minimum, noun), its size rule and the names of its
-closed form in :mod:`transmit.formulas` and its builder in
-:mod:`transmit.builders`. The parser, :func:`validate`, :func:`render` and
-:func:`estimated_size` are driven by that table. :func:`fold` is the
-bottom-up traversal that :func:`render`, :func:`estimated_size` and both
-engines share. Nothing here recurses, so nesting depth is bounded by memory
-alone.
+Each node type is described once, by its row in :data:`SPECS`: its
+keyword, its argument schema (field name, kind, minimum, noun), its size
+rule and the names of its closed form in :mod:`transmit.formulas` and its
+builder in :mod:`transmit.builders`. The node classes are frozen
+dataclasses made from those rows, one field per argument. The parser,
+:func:`validate`, :func:`render` and :func:`estimated_size` are driven by
+that table. :func:`fold` is the bottom-up traversal that :func:`render`,
+:func:`estimated_size` and both engines share. Nothing here recurses, so
+nesting depth is bounded by memory alone.
 """
 
 from __future__ import annotations
@@ -27,100 +28,29 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, make_dataclass
 from functools import partial
 from typing import Any, Callable, Union
 
 from .errors import TopologyParseError, ValidationError, decimal_text
 
 
-@dataclass(frozen=True)
-class Complete:
-    n: int
-
-
-@dataclass(frozen=True)
-class Cycle:
-    n: int
-
-
-@dataclass(frozen=True)
-class Star:
-    """Star with ``n`` leaves (``n + 1`` vertices), rooted at the center."""
-
-    n: int
-
-
-@dataclass(frozen=True)
-class Path:
-    """Path with ``n`` vertices, rooted at an endpoint."""
-
-    n: int
-
-
-@dataclass(frozen=True)
-class Mesh:
-    """Cartesian product of paths with the given side lengths, rooted at a corner."""
-
-    dims: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Tree:
-    """Perfect tree: every internal vertex has ``arity`` children, leaves at ``depth``."""
-
-    arity: int
-    depth: int
-
-
-@dataclass(frozen=True)
-class Wedge:
-    """One-point union: children glued at their roots."""
-
-    children: tuple["TopologyExpr", ...]
-
-
-@dataclass(frozen=True)
-class RootedProduct:
-    """A copy of ``right`` hung at its root off every vertex of ``left``."""
-
-    left: "TopologyExpr"
-    right: "TopologyExpr"
-
-
-@dataclass(frozen=True)
-class Power:
-    """``exponent``-fold rooted product of ``base`` with itself."""
-
-    base: "TopologyExpr"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Attach:
-    """Pendant vertex added at the root; the pendant becomes the new root."""
-
-    child: "TopologyExpr"
-
-
-TopologyExpr = Union[
-    Complete, Cycle, Star, Path, Mesh, Tree, Wedge, RootedProduct, Power, Attach
-]
-
 # Argument kinds: one integer, one or more integers, one sub-expression,
 # one or more sub-expressions. A variadic kind is always the last argument.
 INT, INTS, EXPR, EXPRS = "int", "ints", "expr", "exprs"
 _VARIADIC = (INTS, EXPRS)
+_ANNOTATIONS = {INT: "int", INTS: "tuple[int, ...]", EXPR: "TopologyExpr", EXPRS: "tuple[TopologyExpr, ...]"}
 
 
 @dataclass(frozen=True)
 class Arg:
-    """One node argument, in field order.
+    """One node argument: the node's field named ``field``, in field order.
 
     ``minimum`` bounds every integer an int/ints argument holds; ``noun``
     names the argument in violation messages (an expr argument has none).
     """
 
+    field: str
     kind: str
     noun: str = ""
     minimum: int = 0
@@ -147,6 +77,24 @@ class Spec:
     graph: str
 
 
+SPECS: dict[type, Spec] = {}
+
+
+def _node(name: str, keyword: str, args: tuple[Arg, ...], size: Callable[..., int], triple: str, graph: str,
+          doc: str | None = None) -> type:
+    """Make the frozen dataclass of one node type, with one field per
+    argument, and enter its row in :data:`SPECS`."""
+    cls = make_dataclass(
+        name,
+        [(arg.field, _ANNOTATIONS[arg.kind]) for arg in args],
+        frozen=True,
+        # the module lets pickle find the class by its public name
+        namespace={"__module__": __name__, "__doc__": doc},
+    )
+    SPECS[cls] = Spec(keyword, args, size, triple, graph)
+    return cls
+
+
 def tree_size(arity: int, depth: int) -> int:
     """Vertex count of the perfect tree, ``1 + a + ... + a^depth``.
 
@@ -166,35 +114,41 @@ def _wedge_size(sizes: list[int]) -> int:
     return sum(sizes) - (len(sizes) - 1)
 
 
-SPECS: dict[type, Spec] = {
-    Complete: Spec("complete", (Arg(INT, "size", 1),), operator.index, "complete_triple", "complete_graph"),
-    # cycle(2) would need a double edge, which a simple graph cannot have
-    Cycle: Spec("cycle", (Arg(INT, "size", 3),), operator.index, "cycle_triple", "cycle_graph"),
-    Star: Spec("star", (Arg(INT, "leaf count", 1),), _plus_one, "star_triple", "star_graph"),
-    Path: Spec("path", (Arg(INT, "size", 1),), operator.index, "path_triple", "path_graph"),
-    Mesh: Spec("mesh", (Arg(INTS, "dimension", 1),), math.prod, "mesh_triple", "mesh_graph"),
-    Tree: Spec("tree", (Arg(INT, "arity", 1), Arg(INT, "depth", 0)), tree_size, "tree_triple", "tree_graph"),
-    Wedge: Spec("wedge", (Arg(EXPRS, "child"),), _wedge_size, "wedge_triple", "wedge_graphs"),
-    RootedProduct: Spec("rprod", (Arg(EXPR), Arg(EXPR)), operator.mul, "rooted_product_triple", "rooted_product_graphs"),
-    Power: Spec("power", (Arg(EXPR), Arg(INT, "exponent", 1)), pow, "power_triple", "power_graph"),
-    Attach: Spec("attach", (Arg(EXPR),), _plus_one, "attach_root_triple", "attach_root"),
-}
+Complete = _node("Complete", "complete", (Arg("n", INT, "size", 1),), operator.index, "complete_triple", "complete_graph")
+# cycle(2) would need a double edge, which a simple graph cannot have
+Cycle = _node("Cycle", "cycle", (Arg("n", INT, "size", 3),), operator.index, "cycle_triple", "cycle_graph")
+Star = _node("Star", "star", (Arg("n", INT, "leaf count", 1),), _plus_one, "star_triple", "star_graph",
+             doc="Star with ``n`` leaves (``n + 1`` vertices), rooted at the center.")
+Path = _node("Path", "path", (Arg("n", INT, "size", 1),), operator.index, "path_triple", "path_graph",
+             doc="Path with ``n`` vertices, rooted at an endpoint.")
+Mesh = _node("Mesh", "mesh", (Arg("dims", INTS, "dimension", 1),), math.prod, "mesh_triple", "mesh_graph",
+             doc="Cartesian product of paths with the given side lengths, rooted at a corner.")
+Tree = _node("Tree", "tree", (Arg("arity", INT, "arity", 1), Arg("depth", INT, "depth", 0)), tree_size,
+             "tree_triple", "tree_graph",
+             doc="Perfect tree: every internal vertex has ``arity`` children, leaves at ``depth``.")
+Wedge = _node("Wedge", "wedge", (Arg("children", EXPRS, "child"),), _wedge_size, "wedge_triple", "wedge_graphs",
+              doc="One-point union: children glued at their roots.")
+RootedProduct = _node("RootedProduct", "rprod", (Arg("left", EXPR), Arg("right", EXPR)), operator.mul,
+                      "rooted_product_triple", "rooted_product_graphs",
+                      doc="A copy of ``right`` hung at its root off every vertex of ``left``.")
+Power = _node("Power", "power", (Arg("base", EXPR), Arg("exponent", INT, "exponent", 1)), pow,
+              "power_triple", "power_graph",
+              doc="``exponent``-fold rooted product of ``base`` with itself.")
+Attach = _node("Attach", "attach", (Arg("child", EXPR),), _plus_one, "attach_root_triple", "attach_root",
+               doc="Pendant vertex added at the root; the pendant becomes the new root.")
+
+TopologyExpr = Union[tuple(SPECS)]
 
 # Worked out once from SPECS, so the traversals below do no per-node
-# introspection: keyword -> (class, args), class -> (keyword, ((field,
-# arg), ...)), and class -> (field names, the (position, variadic) pairs of
-# the fields holding sub-expressions).
+# introspection: keyword -> (class, args), and class -> (field names, the
+# (position, variadic) pairs of the fields holding sub-expressions).
 _CLASSES = {spec.keyword: (cls, spec.args) for cls, spec in SPECS.items()}
-_LAYOUT = {
-    cls: (spec.keyword, tuple(zip((f.name for f in fields(cls)), spec.args)))
-    for cls, spec in SPECS.items()
-}
 _SHAPE = {
     cls: (
-        tuple(field for field, _ in layout),
-        tuple((i, arg.kind == EXPRS) for i, (_, arg) in enumerate(layout) if arg.kind in (EXPR, EXPRS)),
+        tuple(arg.field for arg in spec.args),
+        tuple((i, arg.kind == EXPRS) for i, arg in enumerate(spec.args) if arg.kind in (EXPR, EXPRS)),
     )
-    for cls, (_, layout) in _LAYOUT.items()
+    for cls, spec in SPECS.items()
 }
 
 
@@ -377,29 +331,29 @@ def validate(expr: TopologyExpr) -> list[str]:
     while stack:
         node, path = stack.pop()
         try:
-            keyword, layout = _LAYOUT[type(node)]
+            spec = SPECS[type(node)]
         except KeyError:
             raise _unknown(node) from None
         children = []
-        for field, arg in layout:
-            value = getattr(node, field)
+        for arg in spec.args:
+            value = getattr(node, arg.field)
             if arg.kind == EXPR:
-                children.append((value, (path, field, None)))
+                children.append((value, (path, arg.field, None)))
             elif arg.kind == INT:
                 if value < arg.minimum:
                     violations.append(
-                        f"{_path_text(path)}: {keyword} {arg.noun} must be >= {arg.minimum}"
+                        f"{_path_text(path)}: {spec.keyword} {arg.noun} must be >= {arg.minimum}"
                     )
             else:
                 if not value:
-                    violations.append(f"{_path_text(path)}: {keyword} needs at least one {arg.noun}")
+                    violations.append(f"{_path_text(path)}: {spec.keyword} needs at least one {arg.noun}")
                 if arg.kind == EXPRS:
-                    children.extend((child, (path, field, i)) for i, child in enumerate(value))
+                    children.extend((child, (path, arg.field, i)) for i, child in enumerate(value))
                 else:
                     for i, item in enumerate(value):
                         if item < arg.minimum:
                             violations.append(
-                                f"{_path_text(path)}: {keyword} {arg.noun} {i} must be >= {arg.minimum}"
+                                f"{_path_text(path)}: {spec.keyword} {arg.noun} {i} must be >= {arg.minimum}"
                             )
         stack.extend(reversed(children))
     return violations

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import pickle
 from functools import partial
 
 import pytest
@@ -236,10 +237,38 @@ def test_samples_cover_the_node_table():
 @pytest.mark.parametrize("cls", list(SPECS), ids=[spec.keyword for spec in SPECS.values()])
 def test_node_table_names_functions_that_take_the_fields(cls):
     spec = SPECS[cls]
+    assert [f.name for f in dataclasses.fields(cls)] == [arg.field for arg in spec.args]
     fields = [getattr(SAMPLES[cls], f.name) for f in dataclasses.fields(cls)]
     for function in (getattr(formulas, spec.triple), getattr(builders, spec.graph), spec.size):
         assert callable(function)
         inspect.signature(function).bind(*fields)
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=[cls.__name__ for cls in SAMPLES])
+def test_node_class_contract(cls):
+    node = SAMPLES[cls]
+    assert cls.__module__ == "transmit.dsl"
+    assert pickle.loads(pickle.dumps(node)) == node
+    values = {f.name: getattr(node, f.name) for f in dataclasses.fields(cls)}
+    assert cls(**values) == cls(*values.values()) == node
+    first = dataclasses.fields(cls)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(node, first, values[first])
+    assert hash(cls(**values)) == hash(node)
+
+
+def test_node_repr_names_every_field():
+    node = parse("wedge(tree(2,3),power(attach(path(2)),4),mesh(2,3))")
+    assert repr(node) == (
+        "Wedge(children=(Tree(arity=2, depth=3), Power(base=Attach(child=Path(n=2)), exponent=4), Mesh(dims=(2, 3))))"
+    )
+
+
+@pytest.mark.parametrize("function", [validate, estimated_size, render, evaluate_expr])
+@pytest.mark.parametrize("expr", [42, Wedge((Path(2), 42))], ids=["bare", "nested"])
+def test_a_non_node_is_refused(function, expr):
+    with pytest.raises(ValidationError, match=r"^unknown expression node 42$"):
+        function(expr)
 
 
 class TestRender:
