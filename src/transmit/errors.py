@@ -6,6 +6,11 @@ from __future__ import annotations
 import decimal
 
 
+#: Bit length below which ``decimal_text`` formats an int directly: under
+#: 2000 bits is at most 603 digits, below the 640-digit floor of
+#: ``sys.set_int_max_str_digits``, so no caller's limit can refuse it.
+_SHORT_BITS = 2000
+
 #: Bit length above which ``decimal_text`` splits: ``decimal.Decimal(n)`` is
 #: quadratic in the length of ``n``, and splitting measured faster from here.
 _SPLIT_BITS = 40_000
@@ -24,9 +29,13 @@ def decimal_text(n: int) -> str:
     unlike ``sys.set_int_max_str_digits``, changes nothing process-wide.
     Both are quadratic, so an ``n`` past ``_SPLIT_BITS`` is split by bits,
     ``n = high * 2**k + low``, and the halves' decimals are joined with the
-    fast exact multiplication of :mod:`decimal`.
+    fast exact multiplication of :mod:`decimal`. An ``n`` under
+    ``_SHORT_BITS`` is formatted directly, and a ``bool`` prints as a digit.
     """
-    if n.bit_length() <= _SPLIT_BITS:
+    bits = n.bit_length()
+    if bits < _SHORT_BITS:
+        return "%d" % n
+    if bits <= _SPLIT_BITS:
         return str(decimal.Decimal(n))
     digits = str(_exact_decimal(abs(n), n.bit_length(), {}))
     return "-" + digits if n < 0 else digits

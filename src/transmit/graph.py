@@ -7,14 +7,18 @@ vertex 0, validated on construction, immutable after it and safe to share.
 :mod:`transmit.builders` makes one per expression, from the bare rows its
 builders pass around.
 
-Costs: validating a graph is O(V+E) time and O(V) extra memory. One BFS
-is O(V+E), returns how many vertices lie at each distance, and stops at the
-end of the first level after which every vertex is reached, so on a
-complete graph it scans one row. ``distance_histogram`` counts ordered
-pairs by distance, in a list indexed by distance like the level sizes,
-and every transmission is ``transmission`` of such counts. It runs one
-BFS from vertex 0, which checks connectivity and gives its eccentricity
-e. When 8·e < V the graph is shallow and it counts all pairs with reach
+Costs: validating a graph is O(V+E) time and O(V) extra memory, in one
+pass over each row's entries above its own vertex; only a graph it refuses
+is checked again, entry by entry, to name the fault. One BFS is O(V+E),
+returns how many vertices lie at each distance, and stops at the end of
+the first level after which every vertex is reached, so on a complete
+graph it scans one row. ``distance_histogram`` counts ordered pairs by
+distance, in a list indexed by distance like the level sizes, and every
+transmission is ``transmission`` of such counts. It runs one BFS from
+vertex 0, which checks connectivity and gives its eccentricity e. When
+e ≤ 1 vertex 0 is next to every vertex, no distance exceeds 2, and the
+counts are V, the E ordered pairs joined by an edge and V(V−1) − E, in
+O(V). When 8·e < V the graph is shallow and it counts all pairs with reach
 bitsets: O(diameter·E) ORs of ``_BLOCK``-bit integers per block of
 ``_BLOCK`` (2048) sources, in about 2·V·``_BLOCK``/8 bytes.
 Otherwise, on a deep tree (paths, deep chains; V − 1 edges and connected),
@@ -57,41 +61,76 @@ class RootedGraph:
         return len(self.adjacency)
 
     def __post_init__(self):
-        n = len(self.adjacency)
-        if n < 1:
-            raise ValidationError(f"vertex_count must be >= 1, got {n}")
-        for i, row in enumerate(self.adjacency):
-            prev = -1
-            for j in row:
-                if not 0 <= j < n:
-                    raise ValidationError(f"neighbor {j} of {i} out of range")
-                if j == i:
-                    raise ValidationError(f"self-loop at vertex {i}")
-                if j <= prev:
-                    raise ValidationError(
-                        f"adjacency[{i}] is not strictly increasing"
-                    )
-                prev = j
-        # Symmetry in one pass with O(V) memory: rows are strictly increasing
-        # and visited in increasing i, so the rows below j that list j must
-        # arrive in the order of row j's entries below j. matched[j] counts
-        # those that have; when row i's turn comes, its first matched[i]
-        # entries are accounted for and the rest must lie above i.
         adjacency = self.adjacency
-        matched = [0] * n
+        if not adjacency or not _rows_are_valid(adjacency):
+            _name_fault(adjacency)
+
+
+def _rows_are_valid(adjacency: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether the rows are strictly increasing, in range, loop-free and
+    symmetric, in one pass over the entries above each vertex.
+
+    Rows are visited in increasing i, so the rows below j that list j arrive
+    in the order of row j's entries below j. matched[j] counts those that
+    have; when row i's turn comes, its first matched[i] entries are the
+    lower neighbors that listed i, in increasing order, and the rest must
+    rise from above i. A lower, repeated, negative or self entry fails
+    ``j <= prev``; one past the last vertex fails its row lookup.
+    """
+    matched = [0] * len(adjacency)
+    try:
         for i, row in enumerate(adjacency):
-            m = matched[i]
-            if m < len(row) and row[m] < i:
-                raise ValidationError(f"edge {i}-{row[m]} is not symmetric")
-            for j in row[m:]:
-                back = adjacency[j]
+            prev = i
+            for j in row[matched[i] :]:
+                if j <= prev:
+                    return False
                 k = matched[j]
-                if k < len(back) and back[k] == i:
-                    matched[j] = k + 1
-                elif k < len(back) and back[k] < i:
-                    raise ValidationError(f"edge {j}-{back[k]} is not symmetric")
-                else:
-                    raise ValidationError(f"edge {i}-{j} is not symmetric")
+                if adjacency[j][k] != i:
+                    return False
+                matched[j] = k + 1
+                prev = j
+    except IndexError:
+        return False
+    return True
+
+
+def _name_fault(adjacency: tuple[tuple[int, ...], ...]) -> None:
+    """Raise ``ValidationError`` naming the first fault of the rows, if any.
+
+    Every entry is checked for range, self-loop and order first, so those
+    faults are named ahead of any symmetry fault.
+    """
+    n = len(adjacency)
+    if n < 1:
+        raise ValidationError(f"vertex_count must be >= 1, got {n}")
+    for i, row in enumerate(adjacency):
+        prev = -1
+        for j in row:
+            if not 0 <= j < n:
+                raise ValidationError(f"neighbor {j} of {i} out of range")
+            if j == i:
+                raise ValidationError(f"self-loop at vertex {i}")
+            if j <= prev:
+                raise ValidationError(
+                    f"adjacency[{i}] is not strictly increasing"
+                )
+            prev = j
+    # Symmetry with the cursor of ``_rows_are_valid``: row i's first
+    # matched[i] entries are accounted for and the rest must lie above i.
+    matched = [0] * n
+    for i, row in enumerate(adjacency):
+        m = matched[i]
+        if m < len(row) and row[m] < i:
+            raise ValidationError(f"edge {i}-{row[m]} is not symmetric")
+        for j in row[m:]:
+            back = adjacency[j]
+            k = matched[j]
+            if k < len(back) and back[k] == i:
+                matched[j] = k + 1
+            elif k < len(back) and back[k] < i:
+                raise ValidationError(f"edge {j}-{back[k]} is not symmetric")
+            else:
+                raise ValidationError(f"edge {i}-{j} is not symmetric")
 
 
 def transmission(counts: list[int]) -> int:
@@ -250,15 +289,21 @@ def distance_histogram(g: RootedGraph) -> list[int]:
 
     The BFS from vertex 0 alone decides whether an undirected graph is
     connected, and its eccentricity ``len(levels) - 1`` and the edge count
-    pick the method (see the module notes). Reach bitsets and the
-    per-source BFS do quadratic work; the tree pass does O(V) on a path and
-    at most O(V·height). The vertex cap is ``build_expr``'s.
+    pick the method (see the module notes). When vertex 0 is next to every
+    vertex no distance exceeds 2, and the counts follow from the edge count
+    alone. Reach bitsets and the per-source BFS do quadratic work; the tree
+    pass does O(V) on a path and at most O(V·height). The vertex cap is
+    ``build_expr``'s.
     """
     n = g.vertex_count
     levels = bfs_levels(g, 0)
-    if 8 * (len(levels) - 1) < n:
+    adjacent = sum(map(len, g.adjacency))  # ordered pairs at distance 1
+    if len(levels) <= 2:
+        # Vertex 0 is next to every vertex, so every other pair is 2 apart.
+        counts = [n, adjacent, n * (n - 1) - adjacent]
+    elif 8 * (len(levels) - 1) < n:
         counts = _bitset_distance_counts(g)
-    elif sum(map(len, g.adjacency)) == 2 * (n - 1):  # connected, so a tree
+    elif adjacent == 2 * (n - 1):  # connected, so a tree
         counts = _tree_distance_counts(g, levels)
     else:
         # No eccentricity exceeds twice vertex 0's: a path through 0 is that short.
@@ -266,8 +311,8 @@ def distance_histogram(g: RootedGraph) -> list[int]:
         for source in range(1, n):
             levels = bfs_levels(g, source)
             counts[: len(levels)] = map(add, counts, levels)
-        while not counts[-1]:  # padding past the diameter
-            counts.pop()
+    while not counts[-1]:  # padding past the diameter
+        counts.pop()
     return counts
 
 

@@ -88,6 +88,24 @@ def test_decimal_text_matches_the_divmod_digits():
         assert decimal_text(-n) == "-" + text
 
 
+def test_decimal_text_of_a_short_int_ignores_the_digit_limit():
+    """Under ``_SHORT_BITS`` an int is formatted directly: at most 603 digits,
+    which even the lowest digit limit, 640, lets through. A bool is a digit."""
+    short = transmit.errors._SHORT_BITS
+    assert len(str(2**short)) < 640
+    values = [0, 1, -1, 10**5, -(10**17)]
+    for bits in (short - 1, short, short + 1):
+        values += [2 ** (bits - 1), 2**bits - 1, -(2**bits) + 1]
+    expected = ["-" * (v < 0) + digits_by_divmod(abs(v)) for v in values]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert [decimal_text(v) for v in values] == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [decimal_text(True), decimal_text(False)] == ["1", "0"]
+
+
 class TestEval:
     def test_table(self, capsys):
         code, out, err = run(capsys, "eval", "tree(2,2)")

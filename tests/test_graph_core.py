@@ -101,8 +101,9 @@ class TestRootedGraphInvariants:
             RootedGraph(((1, 1), (0,)))
 
     def test_rejects_no_vertices(self):
-        with pytest.raises(ValidationError, match="^vertex_count must be >= 1, got 0$"):
-            RootedGraph(())
+        for check in (RootedGraph, transmit.graph._name_fault):
+            with pytest.raises(ValidationError, match="^vertex_count must be >= 1, got 0$"):
+                check(())
 
     def test_from_edges_deduplicates_and_sorts(self):
         g = graph_from_edges(3, [(2, 0), (0, 1), (1, 0)])
@@ -121,6 +122,92 @@ def test_symmetry_check_names_the_one_missing_back_edge(graph, data):
     a, b = data.draw(st.sampled_from(listings))
     with pytest.raises(ValidationError, match=f"^edge {a}-{b} is not symmetric$"):
         RootedGraph(_without(g.adjacency, b, a))
+
+
+# Faults injected into valid rows: each takes the row tuples and a draw and
+# returns rows the check must refuse.
+def _out_of_range(rows, draw):
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.sampled_from([len(rows), len(rows) + 5, -1, -len(rows) - 1]))
+    return rows[:i] + (tuple(sorted(rows[i] + (j,))),) + rows[i + 1 :]
+
+
+def _self_loop(rows, draw):
+    i = draw(st.integers(0, len(rows) - 1))
+    return rows[:i] + (tuple(sorted(rows[i] + (i,))),) + rows[i + 1 :]
+
+
+def _duplicate(rows, draw):
+    i = draw(st.sampled_from([i for i, row in enumerate(rows) if row]))
+    row = rows[i]
+    k = draw(st.integers(0, len(row) - 1))
+    return rows[:i] + (row[: k + 1] + row[k:],) + rows[i + 1 :]
+
+
+def _unsorted(rows, draw):
+    i = draw(st.sampled_from([i for i, row in enumerate(rows) if len(row) > 1]))
+    row = list(rows[i])
+    k = draw(st.integers(0, len(row) - 2))
+    row[k], row[k + 1] = row[k + 1], row[k]
+    return rows[:i] + (tuple(row),) + rows[i + 1 :]
+
+
+def _missing_back_edge(rows, draw):
+    a, b = draw(st.sampled_from([(a, b) for a, row in enumerate(rows) for b in row]))
+    return _without(rows, b, a)
+
+
+def _one_sided_at_root(rows, draw):
+    j = draw(st.sampled_from([j for j in range(1, len(rows)) if j not in rows[0]]))
+    side = draw(st.sampled_from([0, j]))
+    other = j if side == 0 else 0
+    return rows[:side] + (tuple(sorted(rows[side] + (other,))),) + rows[side + 1 :]
+
+
+_FAULTS = {
+    "out of range": (_out_of_range, lambda rows: True),
+    "self-loop": (_self_loop, lambda rows: True),
+    "duplicate": (_duplicate, lambda rows: any(rows)),
+    "unsorted": (_unsorted, lambda rows: any(len(row) > 1 for row in rows)),
+    "missing back edge": (_missing_back_edge, lambda rows: any(rows)),
+    "one-sided edge at vertex 0": (_one_sided_at_root, lambda rows: len(rows[0]) < len(rows) - 1),
+}
+
+
+def _refusal(check, rows):
+    """The message ``check(rows)`` raises ``ValidationError`` with, or None."""
+    try:
+        check(rows)
+    except ValidationError as error:
+        return str(error)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists(max_vertices=12), st.sampled_from([None, *_FAULTS]), st.data())
+def test_one_pass_check_refuses_what_the_fault_namer_refuses(graph, fault, data):
+    """``RootedGraph`` takes the rows its one pass accepts and otherwise
+    raises what the two-pass ``_name_fault`` names, range, self-loop and
+    order faults ahead of symmetry ones."""
+    rows = graph_from_edges(*graph).adjacency
+    if fault is not None:
+        inject, applies = _FAULTS[fault]
+        if not applies(rows):
+            return
+        rows = inject(rows, data.draw)
+    expected = _refusal(transmit.graph._name_fault, rows)
+    assert _refusal(RootedGraph, rows) == expected
+    assert transmit.graph._rows_are_valid(rows) == (fault is None)
+    assert (expected is None) == (fault is None)
+
+
+def test_a_fault_is_named_by_range_before_symmetry():
+    # row 0 lacks its back edge to 1 and row 2 holds 7: the range fault is
+    # named, though the one pass stops at the symmetry fault first
+    rows = ((2,), (0,), (0, 7))
+    assert not transmit.graph._rows_are_valid(rows)
+    with pytest.raises(ValidationError, match="^neighbor 7 of 2 out of range$"):
+        RootedGraph(rows)
 
 
 class _CountingRows(tuple):
@@ -223,16 +310,29 @@ def test_oracle_runs_one_bfs_per_source(monkeypatch, capsys, command, calls):
 @pytest.mark.parametrize("oracle", [graph_transmission, distance_histogram])
 def test_shallow_graph_needs_only_the_first_bfs(monkeypatch, oracle):
     """mesh(16,16): 8 * ecc(0) = 240 < 256 vertices, so pairs are counted
-    with reach bitsets after the BFS from vertex 0."""
+    with reach bitsets after the BFS from vertex 0. Vertex 0 of a star or a
+    complete graph is next to every vertex, so the edge count gives the
+    pairs and no bitsets run."""
     sources = []
+    counted = []
 
     def counting(g, source):
         sources.append(source)
         return bfs_levels(g, source)
 
+    def counting_bitsets(g):
+        counted.append(g)
+        return bitset_counts(g)
+
+    bitset_counts = transmit.graph._bitset_distance_counts
     monkeypatch.setattr(transmit.graph, "bfs_levels", counting)
-    oracle(built("mesh(16,16)"))
-    assert sources == [0]
+    monkeypatch.setattr(transmit.graph, "_bitset_distance_counts", counting_bitsets)
+    for text, bitsets in (("mesh(16,16)", 1), ("star(40)", 0), ("complete(30)", 0)):
+        sources.clear()
+        counted.clear()
+        oracle(built(text))
+        assert sources == [0], text
+        assert len(counted) == bitsets, text
 
 
 @pytest.mark.parametrize("text", ["path(50)", "attach(" * 40 + "path(2)" + ")" * 40])
@@ -346,6 +446,33 @@ def test_bitset_counts_match_reference_at_small_width(graph):
             _assert_oracle_counts(g, reference)
             expected = [reference[d] for d in range(len(reference))]
             assert transmit.graph._bitset_distance_counts(g) == expected
+
+
+def _assert_universal_root_counts(g: RootedGraph) -> None:
+    """The edge-count histogram, and the bitsets at two widths, against the
+    reference counts."""
+    reference = reference_distance_counts(g)
+    expected = [reference[d] for d in range(len(reference))]
+    assert len(expected) <= 3
+    assert distance_histogram(g) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        for block in (transmit.graph._BLOCK, 7):
+            patch.setattr(transmit.graph, "_BLOCK", block)
+            assert transmit.graph._bitset_distance_counts(g) == expected
+
+
+def test_universal_root_counts_match_reference_on_corpus():
+    graphs = [g for g in map(built, oracle_corpus()) if len(bfs_levels(g, 0)) <= 2]
+    assert len(graphs) > 200
+    for g in graphs:
+        _assert_universal_root_counts(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists())
+def test_universal_root_counts_match_reference(graph):
+    n, pairs = graph
+    _assert_universal_root_counts(graph_from_edges(n, pairs + [(0, v) for v in range(1, n)]))
 
 
 @st.composite
