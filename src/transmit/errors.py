@@ -35,9 +35,7 @@ def decimal_text(n: int) -> str:
     bits = n.bit_length()
     if bits < _SHORT_BITS:
         return "%d" % n
-    if bits <= _SPLIT_BITS:
-        return str(decimal.Decimal(n))
-    digits = str(_exact_decimal(abs(n), n.bit_length(), {}))
+    digits = str(_exact_decimal(abs(n), bits, {}))
     return "-" + digits if n < 0 else digits
 
 

@@ -8,24 +8,25 @@ vertex 0, validated on construction, immutable after it and safe to share.
 builders pass around.
 
 Costs: validating a graph is O(V+E) time and O(V) extra memory, in one
-pass over each row's entries above its own vertex; only a graph it refuses
-is checked again, entry by entry, to name the fault. One BFS is O(V+E),
-returns how many vertices lie at each distance, and stops at the end of
-the first level after which every vertex is reached, so on a complete
-graph it scans one row. ``distance_histogram`` counts ordered pairs by
-distance, in a list indexed by distance like the level sizes, and every
-transmission is ``transmission`` of such counts. It runs one BFS from
-vertex 0, which checks connectivity and gives its eccentricity e. When
-e ≤ 1 vertex 0 is next to every vertex, no distance exceeds 2, and the
-counts are V, the E ordered pairs joined by an edge and V(V−1) − E, in
-O(V). When 8·e < V the graph is shallow and it counts all pairs with reach
-bitsets: O(diameter·E) ORs of ``_BLOCK``-bit integers per block of
-``_BLOCK`` (2048) sources, in about 2·V·``_BLOCK``/8 bytes.
-Otherwise, on a deep tree (paths, deep chains; V − 1 edges and connected),
-it counts all pairs in one bottom-up pass from vertex 0's level sizes:
-O(V) on a path, O(V·height) at worst, all but O(V) of it in C-level
-slices, in O(V) memory. On any other deep graph (long cycles) it adds up
-the levels of one BFS per remaining source.
+pass over each row's entries above its own vertex; only rows it refuses
+are scanned again, entry by entry, so that a range, self-loop or order
+fault is named ahead of a symmetry fault. One BFS is O(V+E), returns how
+many vertices lie at each distance, and stops at the end of the first
+level after which every vertex is reached, so on a complete graph it scans
+one row. ``distance_histogram`` counts ordered pairs by distance, in a
+list indexed by distance like the level sizes, and every transmission is
+``transmission`` of such counts. It runs one BFS from vertex 0, which
+checks connectivity and gives its eccentricity e, and picks the method by
+structure first. When e ≤ 1 vertex 0 is next to every vertex, no distance
+exceeds 2, and the counts are V, the E ordered pairs joined by an edge and
+V(V−1) − E, in O(V). A tree (V − 1 edges and connected), at any depth, is
+counted in one bottom-up pass from vertex 0's level sizes: O(V) on a path,
+O(V·height) at worst, all but O(V) of it in C-level slices, in O(V)
+memory. Any other graph is counted with reach bitsets when it is shallow,
+8·e < V: O(diameter·E) ORs of ``_BLOCK``-bit integers per block of
+``_BLOCK`` (2048) sources, in about 2·V·``_BLOCK``/8 bytes. When it is
+deep (long cycles), the levels of one BFS per remaining source are added
+up.
 """
 
 from __future__ import annotations
@@ -61,21 +62,25 @@ class RootedGraph:
         return len(self.adjacency)
 
     def __post_init__(self):
-        adjacency = self.adjacency
-        if not adjacency or not _rows_are_valid(adjacency):
-            _name_fault(adjacency)
+        rows = self.adjacency
+        fault = _symmetry_fault(rows) if rows else "vertex_count must be >= 1, got 0"
+        if fault:
+            raise ValidationError(_entry_fault(rows) or fault)
 
 
-def _rows_are_valid(adjacency: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether the rows are strictly increasing, in range, loop-free and
-    symmetric, in one pass over the entries above each vertex.
+def _symmetry_fault(adjacency: tuple[tuple[int, ...], ...]) -> str | None:
+    """None if the rows are strictly increasing, in range, loop-free and
+    symmetric, in one pass over the entries above each vertex; otherwise
+    the symmetry fault at the entry where the pass stops.
 
     Rows are visited in increasing i, so the rows below j that list j arrive
     in the order of row j's entries below j. matched[j] counts those that
     have; when row i's turn comes, its first matched[i] entries are the
     lower neighbors that listed i, in increasing order, and the rest must
     rise from above i. A lower, repeated, negative or self entry fails
-    ``j <= prev``; one past the last vertex fails its row lookup.
+    ``j <= prev``; one past the last vertex fails its row lookup. Only an
+    unlisted lower entry or a missing back edge stops the pass on rows
+    that ``_entry_fault`` passes, and the message names exactly that.
     """
     matched = [0] * len(adjacency)
     try:
@@ -83,54 +88,37 @@ def _rows_are_valid(adjacency: tuple[tuple[int, ...], ...]) -> bool:
             prev = i
             for j in row[matched[i] :]:
                 if j <= prev:
-                    return False
+                    return f"edge {i}-{j} is not symmetric"
                 k = matched[j]
                 if adjacency[j][k] != i:
-                    return False
+                    # Row j's next entry is a lower vertex whose row lacks j,
+                    # or lies above i, so that row j lacks i.
+                    low = adjacency[j][k]
+                    if low < i:
+                        return f"edge {j}-{low} is not symmetric"
+                    return f"edge {i}-{j} is not symmetric"
                 matched[j] = k + 1
                 prev = j
-    except IndexError:
-        return False
-    return True
+    except IndexError:  # j past the last vertex, or row j has no entry left for i
+        return f"edge {i}-{j} is not symmetric"
+    return None
 
 
-def _name_fault(adjacency: tuple[tuple[int, ...], ...]) -> None:
-    """Raise ``ValidationError`` naming the first fault of the rows, if any.
-
-    Every entry is checked for range, self-loop and order first, so those
-    faults are named ahead of any symmetry fault.
-    """
+def _entry_fault(adjacency: tuple[tuple[int, ...], ...]) -> str | None:
+    """The first neighbor out of range, self-loop or out-of-order entry of
+    the rows, scanning every entry, or None."""
     n = len(adjacency)
-    if n < 1:
-        raise ValidationError(f"vertex_count must be >= 1, got {n}")
     for i, row in enumerate(adjacency):
         prev = -1
         for j in row:
             if not 0 <= j < n:
-                raise ValidationError(f"neighbor {j} of {i} out of range")
+                return f"neighbor {j} of {i} out of range"
             if j == i:
-                raise ValidationError(f"self-loop at vertex {i}")
+                return f"self-loop at vertex {i}"
             if j <= prev:
-                raise ValidationError(
-                    f"adjacency[{i}] is not strictly increasing"
-                )
+                return f"adjacency[{i}] is not strictly increasing"
             prev = j
-    # Symmetry with the cursor of ``_rows_are_valid``: row i's first
-    # matched[i] entries are accounted for and the rest must lie above i.
-    matched = [0] * n
-    for i, row in enumerate(adjacency):
-        m = matched[i]
-        if m < len(row) and row[m] < i:
-            raise ValidationError(f"edge {i}-{row[m]} is not symmetric")
-        for j in row[m:]:
-            back = adjacency[j]
-            k = matched[j]
-            if k < len(back) and back[k] == i:
-                matched[j] = k + 1
-            elif k < len(back) and back[k] < i:
-                raise ValidationError(f"edge {j}-{back[k]} is not symmetric")
-            else:
-                raise ValidationError(f"edge {i}-{j} is not symmetric")
+    return None
 
 
 def transmission(counts: list[int]) -> int:
@@ -288,12 +276,12 @@ def distance_histogram(g: RootedGraph) -> list[int]:
     from 0 to the diameter.
 
     The BFS from vertex 0 alone decides whether an undirected graph is
-    connected, and its eccentricity ``len(levels) - 1`` and the edge count
-    pick the method (see the module notes). When vertex 0 is next to every
-    vertex no distance exceeds 2, and the counts follow from the edge count
-    alone. Reach bitsets and the per-source BFS do quadratic work; the tree
-    pass does O(V) on a path and at most O(V·height). The vertex cap is
-    ``build_expr``'s.
+    connected, and the structure picks the method (see the module notes):
+    when vertex 0 is next to every vertex, the edge count alone gives the
+    counts; a tree, at any depth, takes the bottom-up pass, O(V) on a path
+    and at most O(V·height); any other graph takes reach bitsets if
+    ``8·ecc(0) < V`` and one BFS per source otherwise, both quadratic. The
+    vertex cap is ``build_expr``'s.
     """
     n = g.vertex_count
     levels = bfs_levels(g, 0)
@@ -301,10 +289,10 @@ def distance_histogram(g: RootedGraph) -> list[int]:
     if len(levels) <= 2:
         # Vertex 0 is next to every vertex, so every other pair is 2 apart.
         counts = [n, adjacent, n * (n - 1) - adjacent]
-    elif 8 * (len(levels) - 1) < n:
-        counts = _bitset_distance_counts(g)
     elif adjacent == 2 * (n - 1):  # connected, so a tree
         counts = _tree_distance_counts(g, levels)
+    elif 8 * (len(levels) - 1) < n:
+        counts = _bitset_distance_counts(g)
     else:
         # No eccentricity exceeds twice vertex 0's: a path through 0 is that short.
         counts = levels + [0] * (len(levels) - 1)

@@ -90,6 +90,44 @@ def floyd_warshall(g: RootedGraph) -> list[list[float]]:
     return dist
 
 
+def reference_row_fault(adjacency: tuple[tuple[int, ...], ...]) -> None:
+    """Raise ``ValidationError`` naming the first fault of the rows, if any.
+
+    The two-pass check ``RootedGraph`` must word its refusals as: every
+    entry is checked for range, self-loop and order first, so those faults
+    are named ahead of any symmetry fault. Symmetry is then checked with a
+    cursor per row: row i's first matched[i] entries are the lower
+    neighbors that listed i, and the rest must lie above i.
+    """
+    n = len(adjacency)
+    if n < 1:
+        raise ValidationError(f"vertex_count must be >= 1, got {n}")
+    for i, row in enumerate(adjacency):
+        prev = -1
+        for j in row:
+            if not 0 <= j < n:
+                raise ValidationError(f"neighbor {j} of {i} out of range")
+            if j == i:
+                raise ValidationError(f"self-loop at vertex {i}")
+            if j <= prev:
+                raise ValidationError(f"adjacency[{i}] is not strictly increasing")
+            prev = j
+    matched = [0] * n
+    for i, row in enumerate(adjacency):
+        m = matched[i]
+        if m < len(row) and row[m] < i:
+            raise ValidationError(f"edge {i}-{row[m]} is not symmetric")
+        for j in row[m:]:
+            back = adjacency[j]
+            k = matched[j]
+            if k < len(back) and back[k] == i:
+                matched[j] = k + 1
+            elif k < len(back) and back[k] < i:
+                raise ValidationError(f"edge {j}-{back[k]} is not symmetric")
+            else:
+                raise ValidationError(f"edge {i}-{j} is not symmetric")
+
+
 def edges(g: RootedGraph) -> list[tuple[int, int]]:
     """All edges of ``g`` as (low, high) pairs in deterministic order."""
     return [(i, j) for i in range(g.vertex_count) for j in g.adjacency[i] if i < j]

@@ -31,6 +31,7 @@ from oracle_util import (
     level_sizes,
     reference_bfs_distances,
     reference_distance_counts,
+    reference_row_fault,
 )
 
 SINGLE = RootedGraph(((),))
@@ -101,9 +102,8 @@ class TestRootedGraphInvariants:
             RootedGraph(((1, 1), (0,)))
 
     def test_rejects_no_vertices(self):
-        for check in (RootedGraph, transmit.graph._name_fault):
-            with pytest.raises(ValidationError, match="^vertex_count must be >= 1, got 0$"):
-                check(())
+        with pytest.raises(ValidationError, match="^vertex_count must be >= 1, got 0$"):
+            RootedGraph(())
 
     def test_from_edges_deduplicates_and_sorts(self):
         g = graph_from_edges(3, [(2, 0), (0, 1), (1, 0)])
@@ -187,17 +187,17 @@ def _refusal(check, rows):
 @given(edge_lists(max_vertices=12), st.sampled_from([None, *_FAULTS]), st.data())
 def test_one_pass_check_refuses_what_the_fault_namer_refuses(graph, fault, data):
     """``RootedGraph`` takes the rows its one pass accepts and otherwise
-    raises what the two-pass ``_name_fault`` names, range, self-loop and
-    order faults ahead of symmetry ones."""
+    raises what the two-pass reference names, range, self-loop and order
+    faults ahead of symmetry ones."""
     rows = graph_from_edges(*graph).adjacency
     if fault is not None:
         inject, applies = _FAULTS[fault]
         if not applies(rows):
             return
         rows = inject(rows, data.draw)
-    expected = _refusal(transmit.graph._name_fault, rows)
+    expected = _refusal(reference_row_fault, rows)
     assert _refusal(RootedGraph, rows) == expected
-    assert transmit.graph._rows_are_valid(rows) == (fault is None)
+    assert (transmit.graph._symmetry_fault(rows) is None) == (fault is None)
     assert (expected is None) == (fault is None)
 
 
@@ -205,7 +205,7 @@ def test_a_fault_is_named_by_range_before_symmetry():
     # row 0 lacks its back edge to 1 and row 2 holds 7: the range fault is
     # named, though the one pass stops at the symmetry fault first
     rows = ((2,), (0,), (0, 7))
-    assert not transmit.graph._rows_are_valid(rows)
+    assert transmit.graph._symmetry_fault(rows) == "edge 1-0 is not symmetric"
     with pytest.raises(ValidationError, match="^neighbor 7 of 2 out of range$"):
         RootedGraph(rows)
 
@@ -312,7 +312,8 @@ def test_shallow_graph_needs_only_the_first_bfs(monkeypatch, oracle):
     """mesh(16,16): 8 * ecc(0) = 240 < 256 vertices, so pairs are counted
     with reach bitsets after the BFS from vertex 0. Vertex 0 of a star or a
     complete graph is next to every vertex, so the edge count gives the
-    pairs and no bitsets run."""
+    pairs and no bitsets run. tree(2,6) is shallow too, 48 < 127, but a
+    tree, so it takes the bottom-up pass and no bitsets either."""
     sources = []
     counted = []
 
@@ -327,7 +328,12 @@ def test_shallow_graph_needs_only_the_first_bfs(monkeypatch, oracle):
     bitset_counts = transmit.graph._bitset_distance_counts
     monkeypatch.setattr(transmit.graph, "bfs_levels", counting)
     monkeypatch.setattr(transmit.graph, "_bitset_distance_counts", counting_bitsets)
-    for text, bitsets in (("mesh(16,16)", 1), ("star(40)", 0), ("complete(30)", 0)):
+    for text, bitsets in (
+        ("mesh(16,16)", 1),
+        ("star(40)", 0),
+        ("complete(30)", 0),
+        ("tree(2,6)", 0),
+    ):
         sources.clear()
         counted.clear()
         oracle(built(text))
@@ -499,7 +505,8 @@ def test_tree_counts_match_reference(g):
 
 
 def test_tree_counts_match_reference_on_corpus_trees():
-    """Shallow trees too, which ``distance_histogram`` counts with bitsets."""
+    """Shallow and deep trees alike, all of which ``distance_histogram``
+    counts with the tree pass unless vertex 0 is next to every vertex."""
     graphs = map(built, oracle_corpus())
     trees = [g for g in graphs if sum(map(len, g.adjacency)) == 2 * (g.vertex_count - 1)]
     assert len(trees) > 100
