@@ -10,23 +10,21 @@ builders pass around.
 Costs: validating a graph is O(V+E) time and O(V) extra memory, in one
 pass over each row's entries above its own vertex; only rows it refuses
 are scanned again, entry by entry, so that a range, self-loop or order
-fault is named ahead of a symmetry fault. One BFS is O(V+E), returns how
-many vertices lie at each distance, and stops at the end of the first
-level after which every vertex is reached, so on a complete graph it scans
-one row. ``distance_histogram`` counts ordered pairs by distance, in a
-list indexed by distance like the level sizes, and every transmission is
-``transmission`` of such counts. It runs one BFS from vertex 0, which
-checks connectivity and gives its eccentricity e, and picks the method by
-structure first. When e ≤ 1 vertex 0 is next to every vertex, no distance
-exceeds 2, and the counts are V, the E ordered pairs joined by an edge and
-V(V−1) − E, in O(V). A tree (V − 1 edges and connected), at any depth, is
-counted in one bottom-up pass from vertex 0's level sizes: O(V) on a path,
-O(V·height) at worst, all but O(V) of it in C-level slices, in O(V)
-memory. Any other graph is counted with reach bitsets when it is shallow,
-8·e < V: O(diameter·E) ORs of ``_BLOCK``-bit integers per block of
-``_BLOCK`` (2048) sources, in about 2·V·``_BLOCK``/8 bytes. When it is
-deep (long cycles), the levels of one BFS per remaining source are added
-up.
+fault is named ahead of a symmetry fault. The one BFS, from vertex 0, is
+O(V+E), returns how many vertices lie at each distance, and stops at the
+end of the first level after which every vertex is reached, so on a
+complete graph it scans one row. ``distance_histogram`` counts ordered
+pairs by distance, in a list indexed by distance like the level sizes,
+and every transmission is ``transmission`` of such counts. Its BFS checks
+connectivity, and the structure picks one of three methods. When vertex 0
+is next to every vertex, no distance exceeds 2, and the counts are V, the
+E ordered pairs joined by an edge and V(V−1) − E, in O(V). A tree (V − 1
+edges and connected), at any depth, is counted in one bottom-up pass from
+vertex 0's level sizes: O(V) on a path, O(V·height) at worst, all but
+O(V) of it in C-level slices, in O(V) memory. Any other graph, shallow or
+deep, is counted with reach bitsets: O(diameter·E) ORs of ``_BLOCK``-bit
+integers per block of ``_BLOCK`` (2048) sources, in about 2·V·``_BLOCK``/8
+bytes.
 """
 
 from __future__ import annotations
@@ -41,7 +39,10 @@ from .errors import ConnectivityError, ValidationError
 # ORs but more memory, about 2·V·_BLOCK/8 bytes. On mesh(64,64) 2048 raises
 # the process's peak by 1.25 MiB over 1024, and 4096 would raise it by 4.5.
 # At the 100 000-vertex cap, on mesh(10,10,10,10,10), the counting raises
-# the peak by 59 MiB, against 32 MiB at 1024.
+# the peak by 59 MiB, against 32 MiB at 1024. Every non-tree whose vertex 0
+# misses some vertex is counted this way, however deep, so a deep one at the
+# cap, such as cycle(100000), holds about the same 2·V·_BLOCK/8 bytes of
+# reach.
 _BLOCK = 2048
 
 _DISCONNECTED = "graph is disconnected; transmission is undefined"
@@ -126,20 +127,19 @@ def transmission(counts: list[int]) -> int:
     return sum(d * c for d, c in enumerate(counts))
 
 
-def bfs_levels(g: RootedGraph, source: int) -> list[int]:
-    """Level sizes of a BFS: entry d counts the vertices d hops from ``source``.
+def bfs_levels(g: RootedGraph) -> list[int]:
+    """Level sizes of a BFS from the root: entry d counts the vertices d hops
+    from vertex 0.
 
     Stops after the first level that leaves no vertex unreached, so on a
     dense graph the last levels never scan their neighbors. Raises
     ``ConnectivityError`` if some vertex is never reached.
     """
     n = g.vertex_count
-    if not 0 <= source < n:
-        raise ValidationError(f"source {source} out of range 0..{n - 1}")
     seen = [False] * n
-    seen[source] = True
+    seen[0] = True
     adjacency = g.adjacency
-    frontier = [source]
+    frontier = [0]
     levels = [1]
     unreached = n - 1
     while unreached:
@@ -159,7 +159,7 @@ def bfs_levels(g: RootedGraph, source: int) -> list[int]:
 
 def root_transmission(g: RootedGraph) -> int:
     """Transmission of the root: sum of distances root -> every vertex."""
-    return transmission(bfs_levels(g, 0))
+    return transmission(bfs_levels(g))
 
 
 def _bitset_distance_counts(g: RootedGraph) -> list[int]:
@@ -170,7 +170,10 @@ def _bitset_distance_counts(g: RootedGraph) -> list[int]:
     level ORs every neighbor's reach into a vertex's own, and the pairs at
     distance d are the rise in set bits. A vertex that holds the whole
     block keeps the one shared ``full`` object, is skipped and adds
-    ``width``; only the others are popcounted.
+    ``width``; only the others are popcounted. A level costs O(E) ORs, and
+    a block takes as many levels as the largest eccentricity among its
+    sources, so a deep graph costs far more than a shallow one of its
+    size. A level that adds no pair raises ``ConnectivityError``.
     """
     n = g.vertex_count
     adjacency = g.adjacency
@@ -276,29 +279,23 @@ def distance_histogram(g: RootedGraph) -> list[int]:
     from 0 to the diameter.
 
     The BFS from vertex 0 alone decides whether an undirected graph is
-    connected, and the structure picks the method (see the module notes):
-    when vertex 0 is next to every vertex, the edge count alone gives the
-    counts; a tree, at any depth, takes the bottom-up pass, O(V) on a path
-    and at most O(V·height); any other graph takes reach bitsets if
-    ``8·ecc(0) < V`` and one BFS per source otherwise, both quadratic. The
-    vertex cap is ``build_expr``'s.
+    connected, and the structure picks one of three methods (see the module
+    notes): when vertex 0 is next to every vertex, the edge count alone
+    gives the counts; a tree, at any depth, takes the bottom-up pass, O(V)
+    on a path and at most O(V·height); any other graph, at any depth, takes
+    reach bitsets, O(diameter·E) ORs per block of sources. The vertex cap
+    is ``build_expr``'s.
     """
     n = g.vertex_count
-    levels = bfs_levels(g, 0)
+    levels = bfs_levels(g)
     adjacent = sum(map(len, g.adjacency))  # ordered pairs at distance 1
     if len(levels) <= 2:
         # Vertex 0 is next to every vertex, so every other pair is 2 apart.
         counts = [n, adjacent, n * (n - 1) - adjacent]
     elif adjacent == 2 * (n - 1):  # connected, so a tree
         counts = _tree_distance_counts(g, levels)
-    elif 8 * (len(levels) - 1) < n:
-        counts = _bitset_distance_counts(g)
     else:
-        # No eccentricity exceeds twice vertex 0's: a path through 0 is that short.
-        counts = levels + [0] * (len(levels) - 1)
-        for source in range(1, n):
-            levels = bfs_levels(g, source)
-            counts[: len(levels)] = map(add, counts, levels)
+        counts = _bitset_distance_counts(g)
     while not counts[-1]:  # padding past the diameter
         counts.pop()
     return counts

@@ -81,7 +81,7 @@ class TestPrimitives:
         assert root_transmission(g) == 10  # rooted at the top
 
     def test_tree_level_sizes(self):
-        assert bfs_levels(built("tree(3,3)"), 0) == [1, 3, 9, 27]
+        assert bfs_levels(built("tree(3,3)")) == [1, 3, 9, 27]
 
     def test_degenerate_tree_is_path(self):
         g = built("tree(1,4)")
@@ -248,7 +248,7 @@ class TestBuildExpr:
     def test_every_built_graph_is_connected_and_sized(self):
         for expr in random_expressions(40, seed=11, size_bound=80):
             g = build_expr(expr)
-            assert sum(bfs_levels(g, 0)) == g.vertex_count
+            assert sum(bfs_levels(g)) == g.vertex_count
             assert g.vertex_count == estimated_size(expr)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +39,8 @@ from oracle_util import (
 SINGLE = RootedGraph(((),))
 DISCONNECTED = "graph is disconnected; transmission is undefined"
 TWO_ISOLATED = RootedGraph(((), ()))
+# star(3) with a leaf as vertex 0 and the center as vertex 1.
+LEAF_ROOTED_STAR = RootedGraph(((1,), (0, 2, 3), (1,), (1,)))
 
 
 @st.composite
@@ -222,66 +226,59 @@ class _CountingRows(tuple):
 
 class TestBfsDistances:
     def test_stops_once_every_vertex_is_reached(self):
-        for g, source, rows_scanned in (
-            (built("complete(50)"), 7, 1),
-            (built("path(5)"), 0, 4),
-            (built("star(6)"), 0, 1),
-            (built("star(6)"), 3, 2),
+        for g, rows_scanned in (
+            (built("complete(50)"), 1),
+            (built("path(5)"), 4),
+            (built("star(6)"), 1),
         ):
             counted = RootedGraph(_CountingRows(g.adjacency))
             counted.adjacency.lookups = 0
-            expected = level_sizes(reference_bfs_distances(g, source))
-            assert bfs_levels(counted, source) == expected
+            expected = level_sizes(reference_bfs_distances(g, 0))
+            assert bfs_levels(counted) == expected
             assert counted.adjacency.lookups == rows_scanned
 
     def test_star_from_leaf(self):
-        assert bfs_levels(built("star(3)"), 1) == [1, 1, 2]
+        from_leaf = level_sizes(reference_bfs_distances(built("star(3)"), 1))
+        assert bfs_levels(LEAF_ROOTED_STAR) == from_leaf == [1, 1, 2]
 
     def test_source_distance_zero(self):
-        g = built("tree(2,2)")
-        for s in range(g.vertex_count):
-            assert bfs_levels(g, s)[0] == 1
+        for g in (SINGLE, built("tree(2,2)"), LEAF_ROOTED_STAR):
+            assert bfs_levels(g)[0] == 1
 
     def test_path_from_endpoint(self):
-        assert bfs_levels(built("path(4)"), 0) == [1, 1, 1, 1]
+        assert bfs_levels(built("path(4)")) == [1, 1, 1, 1]
 
     def test_unreachable_sentinel(self):
         with pytest.raises(ConnectivityError, match=f"^{DISCONNECTED}$"):
-            bfs_levels(TWO_ISOLATED, 0)
-
-    def test_source_out_of_range(self):
-        with pytest.raises(ValidationError, match="^source 1 out of range 0..0$"):
-            bfs_levels(SINGLE, 1)
-        with pytest.raises(ValidationError, match="^source -1 out of range 0..0$"):
-            bfs_levels(SINGLE, -1)
+            bfs_levels(TWO_ISOLATED)
 
 
 class TestConnectivity:
     def test_single_vertex(self):
-        assert sum(bfs_levels(SINGLE, 0)) == SINGLE.vertex_count
+        assert sum(bfs_levels(SINGLE)) == SINGLE.vertex_count
 
     def test_path(self):
         g = built("path(4)")
-        assert sum(bfs_levels(g, 0)) == g.vertex_count
+        assert sum(bfs_levels(g)) == g.vertex_count
 
     def test_two_isolated_vertices(self):
         with pytest.raises(ConnectivityError):
-            bfs_levels(TWO_ISOLATED, 0)
+            bfs_levels(TWO_ISOLATED)
 
     def test_transmission_rejects_disconnected(self):
-        # path 1-2 plus an isolated vertex 0 that is the root
+        # path 1-2 plus an isolated vertex 0 that is the root, and path 0-1
+        # plus an isolated vertex 2 that the root never reaches
         isolated_root = RootedGraph(((), (2,), (1,)))
-        for g in (TWO_ISOLATED, isolated_root):
+        isolated_leaf = RootedGraph(((1,), (0,), ()))
+        for g in (TWO_ISOLATED, isolated_root, isolated_leaf):
             with pytest.raises(ConnectivityError):
                 graph_transmission(g)
             with pytest.raises(ConnectivityError):
-                transmission(bfs_levels(g, 0))
+                transmission(bfs_levels(g))
             with pytest.raises(ConnectivityError):
                 root_transmission(g)
             with pytest.raises(ConnectivityError):
                 distance_histogram(g)
-        with pytest.raises(ConnectivityError):
-            transmission(bfs_levels(isolated_root, 1))
 
     def test_edge_count_of_a_tree_without_connectivity(self):
         # A triangle and an isolated vertex: V - 1 edges, but no tree.
@@ -293,33 +290,31 @@ class TestConnectivity:
                 distance_histogram(graph_from_edges(4, pairs))
 
 
-@pytest.mark.parametrize("command, calls", [("verify", 7 + 1), ("hist", 7)])
-def test_oracle_runs_one_bfs_per_source(monkeypatch, capsys, command, calls):
-    """No BFS only for connectivity: ``verify`` adds the root's, ``hist`` none."""
-    sources = []
-
-    def counting(g, source):
-        sources.append(source)
-        return bfs_levels(g, source)
-
-    monkeypatch.setattr(transmit.graph, "bfs_levels", counting)
-    assert main([command, "cycle(7)"]) == 0
-    assert len(sources) == calls
-
-
-@pytest.mark.parametrize("oracle", [graph_transmission, distance_histogram])
-def test_shallow_graph_needs_only_the_first_bfs(monkeypatch, oracle):
-    """mesh(16,16): 8 * ecc(0) = 240 < 256 vertices, so pairs are counted
-    with reach bitsets after the BFS from vertex 0. Vertex 0 of a star or a
-    complete graph is next to every vertex, so the edge count gives the
-    pairs and no bitsets run. tree(2,6) is shallow too, 48 < 127, but a
-    tree, so it takes the bottom-up pass and no bitsets either."""
-    sources = []
+@pytest.mark.parametrize(
+    "text, bitsets",
+    [
+        ("mesh(16,16)", 1),
+        ("cycle(7)", 1),
+        ("cycle(64)", 1),
+        ("mesh(4,4,4)", 1),
+        ("star(40)", 0),
+        ("complete(30)", 0),
+        ("tree(2,6)", 0),
+        ("path(50)", 0),
+        pytest.param("attach(" * 40 + "path(2)" + ")" * 40, 0, id="attach^40(path(2))"),
+    ],
+)
+def test_oracle_runs_one_bfs_and_one_method(monkeypatch, capsys, text, bitsets):
+    """``hist`` runs one BFS, from vertex 0, and ``verify`` adds the root's.
+    Vertex 0 of a star or a complete graph is next to every vertex, so the
+    edge count gives the pairs; a tree, shallow or deep, takes the bottom-up
+    pass; every other graph, shallow or deep, is counted with reach bitsets."""
+    callers = []
     counted = []
 
-    def counting(g, source):
-        sources.append(source)
-        return bfs_levels(g, source)
+    def counting(g):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return bfs_levels(g)
 
     def counting_bitsets(g):
         counted.append(g)
@@ -328,42 +323,25 @@ def test_shallow_graph_needs_only_the_first_bfs(monkeypatch, oracle):
     bitset_counts = transmit.graph._bitset_distance_counts
     monkeypatch.setattr(transmit.graph, "bfs_levels", counting)
     monkeypatch.setattr(transmit.graph, "_bitset_distance_counts", counting_bitsets)
-    for text, bitsets in (
-        ("mesh(16,16)", 1),
-        ("star(40)", 0),
-        ("complete(30)", 0),
-        ("tree(2,6)", 0),
+    for command, bfs_callers in (
+        ("hist", ["distance_histogram"]),
+        ("verify", ["distance_histogram", "root_transmission"]),
     ):
-        sources.clear()
+        callers.clear()
         counted.clear()
-        oracle(built(text))
-        assert sources == [0], text
-        assert len(counted) == bitsets, text
-
-
-@pytest.mark.parametrize("text", ["path(50)", "attach(" * 40 + "path(2)" + ")" * 40])
-def test_deep_tree_needs_only_the_first_bfs(monkeypatch, text):
-    """A deep tree's pairs are counted in one bottom-up pass after the BFS
-    from vertex 0, not with one BFS per source."""
-    sources = []
-
-    def counting(g, source):
-        sources.append(source)
-        return bfs_levels(g, source)
-
-    monkeypatch.setattr(transmit.graph, "bfs_levels", counting)
-    assert main(["hist", text]) == 0
-    assert sources == [0]
+        assert main([command, text]) == 0
+        assert callers == bfs_callers, command
+        assert len(counted) == bitsets, command
 
 
 class TestTransmission:
     def test_star_center_and_leaf(self):
         g = built("star(3)")
-        assert transmission(bfs_levels(g, 0)) == 3
-        assert transmission(bfs_levels(g, 1)) == 5
+        assert transmission(bfs_levels(g)) == 3
+        assert transmission(bfs_levels(LEAF_ROOTED_STAR)) == 5
 
     def test_single_vertex(self):
-        assert transmission(bfs_levels(SINGLE, 0)) == 0
+        assert transmission(bfs_levels(SINGLE)) == 0
         assert root_transmission(SINGLE) == 0
         assert graph_transmission(SINGLE) == 0
 
@@ -377,7 +355,7 @@ class TestTransmission:
 
     def test_equals_sum_over_vertices(self):
         g = built("tree(2,2)")
-        total = sum(transmission(bfs_levels(g, v)) for v in range(g.vertex_count))
+        total = sum(sum(reference_bfs_distances(g, v)) for v in range(g.vertex_count))
         assert graph_transmission(g) == total
 
 
@@ -399,13 +377,8 @@ class TestDistanceHistogram:
 
 def test_bfs_matches_reference_on_corpus():
     for text in oracle_corpus():
-        expr = parse(text)
-        if estimated_size(expr) > 1024:
-            continue  # mesh(64,64) alone would take seconds
-        g = build_expr(expr)
-        for source in range(g.vertex_count):
-            expected = level_sizes(reference_bfs_distances(g, source))
-            assert bfs_levels(g, source) == expected, text
+        g = built(text)
+        assert bfs_levels(g) == level_sizes(reference_bfs_distances(g, 0)), text
 
 
 def _assert_oracle_counts(g: RootedGraph, reference) -> None:
@@ -468,7 +441,7 @@ def _assert_universal_root_counts(g: RootedGraph) -> None:
 
 
 def test_universal_root_counts_match_reference_on_corpus():
-    graphs = [g for g in map(built, oracle_corpus()) if len(bfs_levels(g, 0)) <= 2]
+    graphs = [g for g in map(built, oracle_corpus()) if len(bfs_levels(g)) <= 2]
     assert len(graphs) > 200
     for g in graphs:
         _assert_universal_root_counts(g)
@@ -495,7 +468,7 @@ def labelled_trees(draw, max_vertices: int = 80):
 def _assert_tree_counts(g: RootedGraph) -> None:
     reference = reference_distance_counts(g)
     expected = [reference[d] for d in range(len(reference))]
-    assert transmit.graph._tree_distance_counts(g, bfs_levels(g, 0)) == expected
+    assert transmit.graph._tree_distance_counts(g, bfs_levels(g)) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -528,13 +501,12 @@ def test_histogram_of_a_20000_deep_attach_chain():
 def test_bfs_matches_reference_on_random_edge_lists(graph):
     n, edges = graph
     g = graph_from_edges(n, edges)
-    for source in range(n):
-        dist = reference_bfs_distances(g, source)
-        if UNREACHABLE in dist:
-            with pytest.raises(ConnectivityError, match=f"^{DISCONNECTED}$"):
-                bfs_levels(g, source)
-        else:
-            assert bfs_levels(g, source) == level_sizes(dist)
+    dist = reference_bfs_distances(g, 0)
+    if UNREACHABLE in dist:
+        with pytest.raises(ConnectivityError, match=f"^{DISCONNECTED}$"):
+            bfs_levels(g)
+    else:
+        assert bfs_levels(g) == level_sizes(dist)
 
 
 @settings(max_examples=60, deadline=None)
