@@ -290,25 +290,61 @@ class TestConnectivity:
                 distance_histogram(graph_from_edges(4, pairs))
 
 
-@pytest.mark.parametrize(
-    "text, bitsets",
-    [
+@pytest.mark.parametrize("oracle", [graph_transmission, distance_histogram])
+def test_shallow_graph_needs_only_the_first_bfs(monkeypatch, oracle):
+    """Each graph takes the BFS from vertex 0 and then one method. Vertex 0
+    of a star or a complete graph is next to every vertex, so the edge count
+    gives the pairs and no bitsets run. tree(2,6) is a tree, so it takes the
+    bottom-up pass and no bitsets either. mesh(16,16) is neither, so its
+    pairs are counted with reach bitsets."""
+    searched = []
+    counted = []
+
+    def counting(g):
+        searched.append(g)
+        return bfs_levels(g)
+
+    def counting_bitsets(g):
+        counted.append(g)
+        return bitset_counts(g)
+
+    bitset_counts = transmit.graph._bitset_distance_counts
+    monkeypatch.setattr(transmit.graph, "bfs_levels", counting)
+    monkeypatch.setattr(transmit.graph, "_bitset_distance_counts", counting_bitsets)
+    for text, bitsets in (
         ("mesh(16,16)", 1),
-        ("cycle(7)", 1),
-        ("cycle(64)", 1),
-        ("mesh(4,4,4)", 1),
         ("star(40)", 0),
         ("complete(30)", 0),
         ("tree(2,6)", 0),
-        ("path(50)", 0),
-        pytest.param("attach(" * 40 + "path(2)" + ")" * 40, 0, id="attach^40(path(2))"),
-    ],
-)
-def test_oracle_runs_one_bfs_and_one_method(monkeypatch, capsys, text, bitsets):
+    ):
+        searched.clear()
+        counted.clear()
+        oracle(built(text))
+        assert len(searched) == 1, text
+        assert len(counted) == bitsets, text
+
+
+@pytest.mark.parametrize("text", ["path(50)", "attach(" * 40 + "path(2)" + ")" * 40])
+def test_deep_tree_needs_only_the_first_bfs(monkeypatch, text):
+    """A deep tree's pairs are counted in one bottom-up pass after the BFS
+    from vertex 0, not with reach bitsets."""
+    searched = []
+
+    def counting(g):
+        searched.append(g)
+        return bfs_levels(g)
+
+    monkeypatch.setattr(transmit.graph, "bfs_levels", counting)
+    monkeypatch.setattr(transmit.graph, "_bitset_distance_counts", None)
+    assert main(["hist", text]) == 0
+    assert len(searched) == 1
+
+
+@pytest.mark.parametrize("text", ["cycle(7)", "cycle(64)", "mesh(4,4,4)"])
+def test_oracle_runs_one_bfs_and_one_method(monkeypatch, capsys, text):
     """``hist`` runs one BFS, from vertex 0, and ``verify`` adds the root's.
-    Vertex 0 of a star or a complete graph is next to every vertex, so the
-    edge count gives the pairs; a tree, shallow or deep, takes the bottom-up
-    pass; every other graph, shallow or deep, is counted with reach bitsets."""
+    A graph that is no tree is counted with reach bitsets at any depth, not
+    with one BFS per source."""
     callers = []
     counted = []
 
@@ -331,7 +367,7 @@ def test_oracle_runs_one_bfs_and_one_method(monkeypatch, capsys, text, bitsets):
         counted.clear()
         assert main([command, text]) == 0
         assert callers == bfs_callers, command
-        assert len(counted) == bitsets, command
+        assert len(counted) == 1, command
 
 
 class TestTransmission:
