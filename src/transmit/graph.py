@@ -24,7 +24,13 @@ vertex 0's level sizes: O(V) on a path, O(V·height) at worst, all but
 O(V) of it in C-level slices, in O(V) memory. Any other graph, shallow or
 deep, is counted with reach bitsets: O(diameter·E) ORs of ``_BLOCK``-bit
 integers per block of ``_BLOCK`` (2048) sources, in about 2·V·``_BLOCK``/8
-bytes.
+bytes. A graph that σ(v) = V−1−v maps onto itself, found in one O(V+E)
+check that on any other graph usually stops at row 0, needs only the
+sources below the middle: the builders number ``complete``, ``cycle``,
+``path`` and every ``mesh`` so, and not trees, wedges, rooted products or
+powers. That halves the sources: mesh(64,64) runs one block of 2048
+where it would run two, and a graph of at most 2048 vertices runs a block
+half as wide.
 """
 
 from __future__ import annotations
@@ -37,12 +43,13 @@ from .errors import ConnectivityError, ValidationError
 
 # Sources per block of reach bitsets. Wider blocks mean fewer interpreted
 # ORs but more memory, about 2·V·_BLOCK/8 bytes. On mesh(64,64) 2048 raises
-# the process's peak by 1.25 MiB over 1024, and 4096 would raise it by 4.5.
+# the process's peak by 1.25 MiB over 1024, and 4096 would raise it by 4.5;
+# being mirrored, it runs its 2048 sources below the middle as one block.
 # At the 100 000-vertex cap, on mesh(10,10,10,10,10), the counting raises
 # the peak by 59 MiB, against 32 MiB at 1024. Every non-tree whose vertex 0
 # misses some vertex is counted this way, however deep, so a deep one at the
 # cap, such as cycle(100000), holds about the same 2·V·_BLOCK/8 bytes of
-# reach.
+# reach; the cap bounds that memory, not the time its levels take.
 _BLOCK = 2048
 
 _DISCONNECTED = "graph is disconnected; transmission is undefined"
@@ -162,6 +169,21 @@ def root_transmission(g: RootedGraph) -> int:
     return transmission(bfs_levels(g))
 
 
+def _mirrored(adjacency: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether v ↦ V−1−v maps the graph onto itself: row V−1−v is row v
+    mirrored, for each v below the middle, up to the first row that is not.
+
+    The rows are symmetric, so the rows above the middle follow, and so does
+    the middle row of an odd V. O(V+E) when it holds, and on a graph it
+    fails on, usually one row.
+    """
+    last = len(adjacency) - 1
+    return all(
+        adjacency[last - v] == tuple(map(last.__sub__, reversed(adjacency[v])))
+        for v in range(len(adjacency) // 2)
+    )
+
+
 def _bitset_distance_counts(g: RootedGraph) -> list[int]:
     """Ordered pairs by hop distance, grown level by level as reach bitsets.
 
@@ -174,12 +196,24 @@ def _bitset_distance_counts(g: RootedGraph) -> list[int]:
     a block takes as many levels as the largest eccentricity among its
     sources, so a deep graph costs far more than a shallow one of its
     size. A level that adds no pair raises ``ConnectivityError``.
+
+    When σ(v) = V−1−v is an automorphism (``_mirrored``), source σ(s) has
+    the pairs of source s, so only the sources below the middle, ⌊V/2⌋ of
+    them, are run and each rise counts twice. The middle vertex m of an odd
+    V is fixed by σ: its pairs are itself, and twice the sources below the
+    middle within d of it, the set bits of ``reach[m]``, so its row counts
+    once more in each rise.
     """
     n = g.vertex_count
     adjacency = g.adjacency
+    sources, weight, middle = n, 1, None
+    if _mirrored(adjacency):
+        sources, weight = n // 2, 2
+        if n % 2:
+            middle = sources
     counts = [n]
-    for start in range(0, n, _BLOCK):
-        width = min(_BLOCK, n - start)
+    for start in range(0, sources, _BLOCK):
+        width = min(_BLOCK, sources - start)
         full = (1 << width) - 1
         reach = [0] * n
         reach[start : start + width] = [1 << i for i in range(width)]
@@ -198,13 +232,16 @@ def _bitset_distance_counts(g: RootedGraph) -> list[int]:
                     else:
                         partial.append(r)
                 grown.append(r)
-            reach = grown
             total = sum(map(int.bit_count, partial)) + width * (n - len(partial))
             if total == reached:  # stuck short of every pair: disconnected
                 raise ConnectivityError(_DISCONNECTED)
+            rise = total - reached
+            if middle is not None:
+                rise += grown[middle].bit_count() - reach[middle].bit_count()
+            reach = grown
             if depth == len(counts):
                 counts.append(0)
-            counts[depth] += total - reached
+            counts[depth] += weight * rise
             reached = total
     return counts
 
@@ -283,8 +320,9 @@ def distance_histogram(g: RootedGraph) -> list[int]:
     notes): when vertex 0 is next to every vertex, the edge count alone
     gives the counts; a tree, at any depth, takes the bottom-up pass, O(V)
     on a path and at most O(V·height); any other graph, at any depth, takes
-    reach bitsets, O(diameter·E) ORs per block of sources. The vertex cap
-    is ``build_expr``'s.
+    reach bitsets, O(diameter·E) ORs per block of sources, and half the
+    blocks on a graph that V−1−v maps onto itself. The vertex cap is
+    ``build_expr``'s.
     """
     n = g.vertex_count
     levels = bfs_levels(g)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import sys
 
 import pytest
@@ -215,13 +216,19 @@ def test_a_fault_is_named_by_range_before_symmetry():
 
 
 class _CountingRows(tuple):
-    """Adjacency tuple that counts the rows a BFS looks up."""
+    """Adjacency tuple that counts the rows a BFS looks up, and the passes
+    over every row that a level of reach bitsets makes."""
 
     lookups = 0
+    sweeps = 0
 
     def __getitem__(self, index):
         self.lookups += 1
         return super().__getitem__(index)
+
+    def __iter__(self):
+        self.sweeps += 1
+        return super().__iter__()
 
 
 class TestBfsDistances:
@@ -461,6 +468,81 @@ def test_bitset_counts_match_reference_at_small_width(graph):
             _assert_oracle_counts(g, reference)
             expected = [reference[d] for d in range(len(reference))]
             assert transmit.graph._bitset_distance_counts(g) == expected
+
+
+@st.composite
+def mirrored_edge_lists(draw, max_vertices: int = 24):
+    """(vertex count, edges) closed under v ↦ V−1−v, odd and even V alike;
+    half of them hold the path 0-1-…-(V−1), which σ maps onto itself, so
+    that they are connected."""
+    n, pairs = draw(edge_lists(max_vertices))
+    pairs += [(n - 1 - u, n - 1 - v) for u, v in pairs]
+    if draw(st.booleans()):
+        pairs += [(v, v + 1) for v in range(n - 1)]
+    return n, pairs
+
+
+def _closed_under_mirror(g: RootedGraph) -> bool:
+    last = g.vertex_count - 1
+    pairs = set(edges(g))
+    return pairs == {(last - v, last - u) for u, v in pairs}
+
+
+def _assert_bitset_counts(g: RootedGraph) -> None:
+    """Reach bitsets at widths default, 7 and 1 against the reference counts,
+    or ``ConnectivityError`` on a disconnected graph."""
+    reference = reference_distance_counts(g)
+    expected = [reference[d] for d in range(len(reference))]
+    with pytest.MonkeyPatch.context() as patch:
+        for block in (transmit.graph._BLOCK, 7, 1):
+            patch.setattr(transmit.graph, "_BLOCK", block)
+            if UNREACHABLE in reference:
+                with pytest.raises(ConnectivityError, match=f"^{DISCONNECTED}$"):
+                    transmit.graph._bitset_distance_counts(g)
+            else:
+                assert transmit.graph._bitset_distance_counts(g) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(mirrored_edge_lists(), st.data())
+def test_mirrored_graph_counts_match_reference(graph, data):
+    """A graph that σ(v) = V−1−v maps onto itself runs only the sources
+    below the middle, each counted twice, and an odd V's middle vertex
+    once. Moving one of its edges mostly breaks σ, and the counts stay
+    exact either way."""
+    g = graph_from_edges(*graph)
+    assert transmit.graph._mirrored(g.adjacency)
+    _assert_bitset_counts(g)
+    n = g.vertex_count
+    present = edges(g)
+    absent = [(u, v) for u in range(n) for v in range(u + 1, n) if v not in g.adjacency[u]]
+    if present and absent:
+        gone = data.draw(st.sampled_from(present))
+        added = data.draw(st.sampled_from(absent))
+        moved = graph_from_edges(n, [e for e in present if e != gone] + [added])
+        assert transmit.graph._mirrored(moved.adjacency) == _closed_under_mirror(moved)
+        _assert_bitset_counts(moved)
+
+
+def test_mirrored_mesh_is_counted_in_one_block():
+    """mesh(64,64) is mirrored, so its 2048 sources below the middle fill
+    one block of ``_BLOCK`` (2048): 126 levels, the eccentricity of its
+    corners, where all 4096 sources would take two blocks. A seeded random
+    relabelling is not mirrored, runs both blocks, and has the same pairs."""
+    g = built("mesh(64,64)")
+    assert transmit.graph._BLOCK == 2048
+    counted = RootedGraph(_CountingRows(g.adjacency))
+    counted.adjacency.sweeps = 0
+    counts = transmit.graph._bitset_distance_counts(counted)
+    assert counted.adjacency.sweeps == 126
+    label = random.Random(20190).sample(range(4096), 4096)
+    relabelled = RootedGraph(
+        _CountingRows(graph_from_edges(4096, [(label[u], label[v]) for u, v in edges(g)]).adjacency)
+    )
+    assert not transmit.graph._mirrored(relabelled.adjacency)
+    relabelled.adjacency.sweeps = 0
+    assert transmit.graph._bitset_distance_counts(relabelled) == counts
+    assert relabelled.adjacency.sweeps > 126
 
 
 def _assert_universal_root_counts(g: RootedGraph) -> None:
