@@ -36,8 +36,9 @@ from .dsl import TopologyExpr
 from .errors import ResourceLimitError
 from .graph import RootedGraph
 
-#: Default vertex cap of ``build_expr``, the package's only graph producer;
-#: it guards the O(V^2) oracle that runs on every built graph.
+#: Default vertex cap of ``build_expr``, the package's only graph producer.
+#: It bounds the memory a built graph and its oracle take, not the oracle's
+#: time, which on a deep graph that is no tree grows with its depth.
 DEFAULT_VERTEX_CAP = 100_000
 
 

@@ -11,26 +11,26 @@ Costs: validating a graph is O(V+E) time and O(V) extra memory, in one
 pass over each row's entries above its own vertex; only rows it refuses
 are scanned again, entry by entry, so that a range, self-loop or order
 fault is named ahead of a symmetry fault. The one BFS, from vertex 0, is
-O(V+E), returns how many vertices lie at each distance, and stops at the
-end of the first level after which every vertex is reached, so on a
-complete graph it scans one row. ``distance_histogram`` counts ordered
-pairs by distance, in a list indexed by distance like the level sizes,
-and every transmission is ``transmission`` of such counts. Its BFS checks
-connectivity, and the structure picks one of three methods. When vertex 0
-is next to every vertex, no distance exceeds 2, and the counts are V, the
-E ordered pairs joined by an edge and V(V−1) − E, in O(V). A tree (V − 1
-edges and connected), at any depth, is counted in one bottom-up pass from
-vertex 0's level sizes: O(V) on a path, O(V·height) at worst, all but
-O(V) of it in C-level slices, in O(V) memory. Any other graph, shallow or
-deep, is counted with reach bitsets: O(diameter·E) ORs of ``_BLOCK``-bit
-integers per block of ``_BLOCK`` (2048) sources, in about 2·V·``_BLOCK``/8
-bytes. A graph that σ(v) = V−1−v maps onto itself, found in one O(V+E)
-check that on any other graph usually stops at row 0, needs only the
-sources below the middle: the builders number ``complete``, ``cycle``,
-``path`` and every ``mesh`` so, and not trees, wedges, rooted products or
-powers. That halves the sources: mesh(64,64) runs one block of 2048
-where it would run two, and a graph of at most 2048 vertices runs a block
-half as wide.
+O(V+E), returns the level sizes and the visit order, and stops at the end
+of the first level after which every vertex is reached, so on a complete
+graph it scans one row. ``distance_histogram`` counts ordered pairs by
+distance, in a list indexed by distance like the level sizes, and every
+transmission is ``transmission`` of such counts. The rows pick one of
+three methods, with no walk, and each method refuses a disconnected graph.
+When vertex 0 is next to every vertex, no distance exceeds 2, and the
+counts are V, the E ordered pairs joined by an edge and V(V−1) − E, in
+O(V). A graph of V − 1 edges that the BFS spans is a tree, at any depth,
+counted in one bottom-up pass over that BFS: O(V) on a path, O(V·height)
+at worst, all but O(V) of it in C-level slices, in O(V) memory. Any other
+graph, shallow or deep, is counted with reach bitsets, which stall on a
+disconnected one: O(diameter·E) ORs of ``_BLOCK``-bit integers per block
+of ``_BLOCK`` (2048) sources, in about 2·V·``_BLOCK``/8 bytes. A graph
+that σ(v) = V−1−v maps onto itself, found in one O(V+E) check that on any
+other graph usually stops at row 0, needs only the sources below the
+middle: the builders number ``complete``, ``cycle``, ``path`` and every
+``mesh`` so, and not trees, wedges, rooted products or powers. That halves
+the sources: mesh(64,64) runs one block of 2048 where it would run two,
+and a graph of at most 2048 vertices runs a block half as wide.
 """
 
 from __future__ import annotations
@@ -134,9 +134,9 @@ def transmission(counts: list[int]) -> int:
     return sum(d * c for d, c in enumerate(counts))
 
 
-def bfs_levels(g: RootedGraph) -> list[int]:
-    """Level sizes of a BFS from the root: entry d counts the vertices d hops
-    from vertex 0.
+def _bfs(g: RootedGraph) -> tuple[list[int], list[int]]:
+    """``(levels, order)`` of a BFS from the root: ``levels[d]`` vertices lie
+    d hops from vertex 0, and they follow the nearer ones in ``order``.
 
     Stops after the first level that leaves no vertex unreached, so on a
     dense graph the last levels never scan their neighbors. Raises
@@ -146,22 +146,27 @@ def bfs_levels(g: RootedGraph) -> list[int]:
     seen = [False] * n
     seen[0] = True
     adjacency = g.adjacency
-    frontier = [0]
+    order = [0]
     levels = [1]
-    unreached = n - 1
-    while unreached:
-        next_frontier = []
-        for v in frontier:
+    start = 0
+    while len(order) < n:
+        end = len(order)
+        for v in order[start:end]:
             for w in adjacency[v]:
                 if not seen[w]:
                     seen[w] = True
-                    next_frontier.append(w)
-        if not next_frontier:
+                    order.append(w)
+        if len(order) == end:
             raise ConnectivityError(_DISCONNECTED)
-        levels.append(len(next_frontier))
-        unreached -= len(next_frontier)
-        frontier = next_frontier
-    return levels
+        levels.append(len(order) - end)
+        start = end
+    return levels, order
+
+
+def bfs_levels(g: RootedGraph) -> list[int]:
+    """Level sizes of a BFS from the root: entry d counts the vertices d hops
+    from vertex 0. Raises ``ConnectivityError`` on a disconnected graph."""
+    return _bfs(g)[0]
 
 
 def root_transmission(g: RootedGraph) -> int:
@@ -246,9 +251,10 @@ def _bitset_distance_counts(g: RootedGraph) -> list[int]:
     return counts
 
 
-def _tree_distance_counts(g: RootedGraph, levels: list[int]) -> list[int]:
-    """Ordered pairs by hop distance on a tree, from ``levels`` (vertex 0's
-    BFS level sizes) and one bottom-up pass.
+def _tree_distance_counts(g: RootedGraph) -> list[int]:
+    """Ordered pairs by hop distance on a tree, from one BFS from vertex 0,
+    which refuses V − 1 edges that leave a vertex unreached, and one
+    bottom-up pass over its order.
 
     A pair is a vertex and one of its ancestors, or turns at the one vertex
     where its path does. Each vertex at depth k has one ancestor at each
@@ -261,15 +267,8 @@ def _tree_distance_counts(g: RootedGraph, levels: list[int]) -> list[int]:
     all the products together cost O(V·height), in C-level slices.
     """
     n = g.vertex_count
+    levels, order = _bfs(g)
     adjacency = g.adjacency
-    parent = [-1] * n
-    order = [0]
-    for v in order:
-        p = parent[v]
-        for w in adjacency[v]:
-            if w != p:
-                parent[w] = v
-                order.append(w)
     ecc = len(levels) - 1
     top = 2 * ecc  # no path through vertex 0 is longer
     # turning[top - d]: unordered pairs at distance d, so that one child's
@@ -279,12 +278,11 @@ def _tree_distance_counts(g: RootedGraph, levels: list[int]) -> list[int]:
     turning[top - ecc : top] = accumulate(reversed(levels[1:]))
     below = [None] * n  # below[v][-1 - j]: vertices j levels under v
     for v in reversed(order):
-        p = parent[v]
         deep = None
         for w in adjacency[v]:
-            if w == p:
-                continue
             low = below[w]
+            if low is None:  # the parent, which reverse BFS order visits after v
+                continue
             if deep is None:
                 deep = low
                 continue
@@ -315,28 +313,25 @@ def distance_histogram(g: RootedGraph) -> list[int]:
     """Count ordered vertex pairs by hop distance: entry d for distance d,
     from 0 to the diameter.
 
-    The BFS from vertex 0 alone decides whether an undirected graph is
-    connected, and the structure picks one of three methods (see the module
-    notes): when vertex 0 is next to every vertex, the edge count alone
-    gives the counts; a tree, at any depth, takes the bottom-up pass, O(V)
-    on a path and at most O(V·height); any other graph, at any depth, takes
-    reach bitsets, O(diameter·E) ORs per block of sources, and half the
-    blocks on a graph that V−1−v maps onto itself. The vertex cap is
-    ``build_expr``'s.
+    The rows pick one of three methods with no walk, and the method raises
+    ``ConnectivityError`` (see the module notes): when vertex 0 is next to
+    every vertex, the edge count alone gives the counts; V − 1 edges take
+    the tree pass, whose BFS must span the graph, O(V) on a path and at
+    most O(V·height); any other graph, at any depth, takes reach bitsets,
+    O(diameter·E) ORs per block of sources, and half the blocks on a graph
+    that V−1−v maps onto itself. The vertex cap is ``build_expr``'s.
     """
     n = g.vertex_count
-    levels = bfs_levels(g)
     adjacent = sum(map(len, g.adjacency))  # ordered pairs at distance 1
-    if len(levels) <= 2:
-        # Vertex 0 is next to every vertex, so every other pair is 2 apart.
+    if len(g.adjacency[0]) == n - 1:
+        # Every other pair is 2 apart; a complete graph has none.
         counts = [n, adjacent, n * (n - 1) - adjacent]
-    elif adjacent == 2 * (n - 1):  # connected, so a tree
-        counts = _tree_distance_counts(g, levels)
-    else:
-        counts = _bitset_distance_counts(g)
-    while not counts[-1]:  # padding past the diameter
-        counts.pop()
-    return counts
+        while not counts[-1]:  # padding past the diameter
+            counts.pop()
+        return counts
+    if adjacent == 2 * (n - 1):
+        return _tree_distance_counts(g)
+    return _bitset_distance_counts(g)
 
 
 def graph_transmission(g: RootedGraph) -> int:

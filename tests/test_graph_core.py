@@ -297,84 +297,126 @@ class TestConnectivity:
                 distance_histogram(graph_from_edges(4, pairs))
 
 
-@pytest.mark.parametrize("oracle", [graph_transmission, distance_histogram])
-def test_shallow_graph_needs_only_the_first_bfs(monkeypatch, oracle):
-    """Each graph takes the BFS from vertex 0 and then one method. Vertex 0
-    of a star or a complete graph is next to every vertex, so the edge count
-    gives the pairs and no bitsets run. tree(2,6) is a tree, so it takes the
-    bottom-up pass and no bitsets either. mesh(16,16) is neither, so its
-    pairs are counted with reach bitsets."""
-    searched = []
-    counted = []
+def _recording_walks(monkeypatch) -> list[str]:
+    """Patch the oracle's one BFS, from vertex 0, to record each call by the
+    function that asked for it: ``distance_histogram`` through the tree
+    pass, or ``root_transmission`` through ``bfs_levels``."""
+    callers = []
+    walk = transmit.graph._bfs
 
     def counting(g):
-        searched.append(g)
-        return bfs_levels(g)
+        callers.append(sys._getframe(2).f_code.co_name)
+        return walk(g)
 
-    def counting_bitsets(g):
+    monkeypatch.setattr(transmit.graph, "_bfs", counting)
+    return callers
+
+
+def _recording_bitsets(monkeypatch) -> list[RootedGraph]:
+    """Patch the reach-bitset counting to record each graph it counts."""
+    counted = []
+    bitset_counts = transmit.graph._bitset_distance_counts
+
+    def counting(g):
         counted.append(g)
         return bitset_counts(g)
 
-    bitset_counts = transmit.graph._bitset_distance_counts
-    monkeypatch.setattr(transmit.graph, "bfs_levels", counting)
-    monkeypatch.setattr(transmit.graph, "_bitset_distance_counts", counting_bitsets)
-    for text, bitsets in (
-        ("mesh(16,16)", 1),
-        ("star(40)", 0),
-        ("complete(30)", 0),
-        ("tree(2,6)", 0),
+    monkeypatch.setattr(transmit.graph, "_bitset_distance_counts", counting)
+    return counted
+
+
+@pytest.mark.parametrize("oracle", [graph_transmission, distance_histogram])
+def test_shallow_graph_needs_only_the_first_bfs(monkeypatch, oracle):
+    """The rows pick the method, and only the tree pass walks. Vertex 0 of a
+    star or a complete graph is next to every vertex, so the edge count
+    gives the pairs, with no walk and no bitsets. tree(2,6) has V − 1 edges,
+    so it takes the tree pass and its one BFS. mesh(16,16) is neither, so
+    its pairs are counted with reach bitsets and no walk."""
+    walks = _recording_walks(monkeypatch)
+    counted = _recording_bitsets(monkeypatch)
+    for text, walked, bitsets in (
+        ("mesh(16,16)", 0, 1),
+        ("star(40)", 0, 0),
+        ("complete(30)", 0, 0),
+        ("tree(2,6)", 1, 0),
     ):
-        searched.clear()
+        walks.clear()
         counted.clear()
         oracle(built(text))
-        assert len(searched) == 1, text
+        assert len(walks) == walked, text
         assert len(counted) == bitsets, text
 
 
 @pytest.mark.parametrize("text", ["path(50)", "attach(" * 40 + "path(2)" + ")" * 40])
 def test_deep_tree_needs_only_the_first_bfs(monkeypatch, text):
-    """A deep tree's pairs are counted in one bottom-up pass after the BFS
-    from vertex 0, not with reach bitsets."""
-    searched = []
-
-    def counting(g):
-        searched.append(g)
-        return bfs_levels(g)
-
-    monkeypatch.setattr(transmit.graph, "bfs_levels", counting)
+    """A deep tree's pairs are counted in one bottom-up pass over its BFS
+    from vertex 0, not with reach bitsets; ``verify`` walks once more for
+    the root's transmission."""
+    walks = _recording_walks(monkeypatch)
     monkeypatch.setattr(transmit.graph, "_bitset_distance_counts", None)
-    assert main(["hist", text]) == 0
-    assert len(searched) == 1
+    for command, walkers in (
+        ("hist", ["distance_histogram"]),
+        ("verify", ["distance_histogram", "root_transmission"]),
+    ):
+        walks.clear()
+        assert main([command, text]) == 0
+        assert walks == walkers, command
 
 
 @pytest.mark.parametrize("text", ["cycle(7)", "cycle(64)", "mesh(4,4,4)"])
 def test_oracle_runs_one_bfs_and_one_method(monkeypatch, capsys, text):
-    """``hist`` runs one BFS, from vertex 0, and ``verify`` adds the root's.
-    A graph that is no tree is counted with reach bitsets at any depth, not
-    with one BFS per source."""
-    callers = []
-    counted = []
-
-    def counting(g):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return bfs_levels(g)
-
-    def counting_bitsets(g):
-        counted.append(g)
-        return bitset_counts(g)
-
-    bitset_counts = transmit.graph._bitset_distance_counts
-    monkeypatch.setattr(transmit.graph, "bfs_levels", counting)
-    monkeypatch.setattr(transmit.graph, "_bitset_distance_counts", counting_bitsets)
-    for command, bfs_callers in (
-        ("hist", ["distance_histogram"]),
-        ("verify", ["distance_histogram", "root_transmission"]),
-    ):
-        callers.clear()
+    """``hist`` of a graph that is no tree walks zero times, and ``verify``
+    once, for the root's transmission. Such a graph is counted with reach
+    bitsets at any depth, not with one BFS per source."""
+    walks = _recording_walks(monkeypatch)
+    counted = _recording_bitsets(monkeypatch)
+    for command, walkers in (("hist", []), ("verify", ["root_transmission"])):
+        walks.clear()
         counted.clear()
         assert main([command, text]) == 0
-        assert callers == bfs_callers, command
+        assert walks == walkers, command
         assert len(counted) == 1, command
+
+
+def _mesh_pair() -> list[tuple[int, int]]:
+    """Edges of two disjoint mesh(32,32) copies that σ(v) = V−1−v swaps."""
+    mesh = edges(built("mesh(32,32)"))
+    return mesh + [(2047 - u, 2047 - v) for u, v in mesh]
+
+
+def _relabelled(n: int, pairs: list[tuple[int, int]]) -> RootedGraph:
+    label = random.Random(n).sample(range(n), n)
+    return graph_from_edges(n, [(label[u], label[v]) for u, v in pairs])
+
+
+_DISCONNECTED_AT_SCALE = {
+    "mirrored mesh pair": (lambda: graph_from_edges(2048, _mesh_pair()), True),
+    "relabelled mesh pair": (lambda: _relabelled(2048, _mesh_pair()), False),
+    "mesh(64,64) and an isolated vertex": (
+        lambda: graph_from_edges(4097, edges(built("mesh(64,64)"))),
+        False,
+    ),
+    "cycle(99) and an isolated vertex": (
+        lambda: graph_from_edges(100, edges(built("cycle(99)"))),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _DISCONNECTED_AT_SCALE)
+def test_disconnected_rows_at_scale_are_refused(name):
+    """No walk comes before the method, so each method refuses a
+    disconnected graph itself. Two disjoint mesh(32,32) copies that
+    σ(v) = V−1−v swaps run the mirrored sources, and a seeded relabelling
+    of them all 2048; mesh(64,64) with an isolated 4097th vertex needs more
+    than one block; cycle(99) with an isolated vertex has V − 1 edges, so
+    the tree pass's BFS must refuse it."""
+    build, mirrored = _DISCONNECTED_AT_SCALE[name]
+    g = build()
+    assert transmit.graph._mirrored(g.adjacency) == mirrored
+    for oracle in (distance_histogram, graph_transmission):
+        with pytest.raises(ConnectivityError, match=f"^{DISCONNECTED}$"):
+            oracle(g)
 
 
 class TestTransmission:
@@ -586,7 +628,7 @@ def labelled_trees(draw, max_vertices: int = 80):
 def _assert_tree_counts(g: RootedGraph) -> None:
     reference = reference_distance_counts(g)
     expected = [reference[d] for d in range(len(reference))]
-    assert transmit.graph._tree_distance_counts(g, bfs_levels(g)) == expected
+    assert transmit.graph._tree_distance_counts(g) == expected
 
 
 @settings(max_examples=150, deadline=None)
