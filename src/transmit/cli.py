@@ -1,22 +1,32 @@
 """Command-line surface tying the parser, both engines and reporting together.
 
 Exit codes: 0 success (and verify pass), 1 usage/parse/validation error,
-2 verification mismatch, 3 vertex cap exceeded. Diagnostics go to stderr,
-data to stdout, and output is byte-identical across runs for the same input.
+2 verification mismatch, 3 resource limit (the vertex cap, or the number of
+series terms). Diagnostics go to stderr, data to stdout, and output is
+byte-identical across runs for the same input.
+
+Each command is one :class:`Command` row of :data:`COMMANDS`: its name,
+callback, positional argument, options and help line. The row drives both
+the parsing and the help page. :mod:`argparse` only splits the arguments;
+the row converts and checks each value, so the messages for a missing,
+unknown, bare or invalid option or argument do not depend on the Python
+version. Help pages are laid out for :data:`HELP_WIDTH` columns, whatever
+the terminal's width.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv as csv_module
 import decimal
 import io
 import json
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
-
-import click
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .builders import DEFAULT_VERTEX_CAP, build_expr
@@ -34,47 +44,12 @@ from .metrics import compare_rank, summarize
 
 FORMATS = ("table", "json", "csv")
 
-# Every click.echo below names its stream. Without ``file``, click looks
-# sys.stdout/sys.stderr up in a weak-keyed cache that holds the stream as
-# its own value, so a stream redirected by an in-process caller (an
-# io.StringIO under redirect_stdout) would never be freed. Click's own
-# --help and --version echo that way, so they are replaced by the two
-# flags below.
+#: Columns a help page is laid out for.
+HELP_WIDTH = 78
 
-
-def _printing_flag(name: str, description: str, text: Callable[[click.Context], str]):
-    """An eager flag that prints ``text(ctx)`` to stdout and exits 0."""
-
-    def callback(ctx: click.Context, _param: click.Parameter, value: bool) -> None:
-        if value and not ctx.resilient_parsing:
-            click.echo(text(ctx), file=sys.stdout)
-            ctx.exit()
-
-    return click.option(name, is_flag=True, expose_value=False, is_eager=True, callback=callback, help=description)
-
-
-# A command that declares --help gets no help option of click's. This one is
-# declared last on each command, so it is listed last, as click's would be.
-_help_option = _printing_flag("--help", "Show this message and exit.", click.Context.get_help)
-_version_option = _printing_flag(
-    "--version", "Show the version and exit.", lambda ctx: f"transmit, version {__version__}"
-)
-
-_format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(FORMATS),
-    default="table",
-    show_default=True,
-    help="Output format.",
-)
-_cap_option = click.option(
-    "--max-vertices",
-    type=click.IntRange(min=1),
-    default=DEFAULT_VERTEX_CAP,
-    show_default=True,
-    help="Vertex cap for oracle-backed commands.",
-)
+#: The most coefficients ``series`` computes. Its convolution is quadratic in
+#: the number of terms: 1000 take a fraction of a second, 2000 several seconds.
+MAX_SERIES_TERMS = 1000
 
 
 #: Six significant digits, ties to even, any exponent, whatever the caller's context.
@@ -150,34 +125,19 @@ def _emit(fmt: str, output) -> None:
     columns sized to content, trailing spaces trimmed.
     """
     if fmt == "json":
-        click.echo(json.dumps(output, indent=2), file=sys.stdout)
+        print(json.dumps(output, indent=2))
         return
     rows = [[_cell(value, fmt) for value in row] for row in output]
     if fmt == "csv":
         buffer = io.StringIO()
         csv_module.writer(buffer, lineterminator="\n").writerows(rows)
-        click.echo(buffer.getvalue(), nl=False, file=sys.stdout)
+        sys.stdout.write(buffer.getvalue())
         return
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in rows]
-    click.echo("\n".join(lines), file=sys.stdout)
+    print("\n".join("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in rows))
 
 
-@click.group()
-@_version_option
-@_help_option
-def cli():
-    """Exact transmission calculator for composed network topologies."""
-
-
-@cli.command(name="eval")
-@click.argument("expr_text", metavar="EXPR")
-@click.option("--rate", default=None, help="Message rate per device pair (exact decimal).")
-@click.option("--time", "time_", default=None, help="Time span (exact decimal).")
-@_format_option
-@_help_option
-def eval_cmd(expr_text: str, rate: str | None, time_: str | None, fmt: str) -> int:
-    """Evaluate EXPR with the closed-form engine (no size cap)."""
+def _eval(expr_text: str, rate: str | None, time_: str | None, fmt: str) -> int:
     if (rate is None) != (time_ is None):
         raise ValidationError("--rate and --time must be given together")
     triple = evaluate_expr(parse(expr_text))
@@ -200,12 +160,7 @@ def eval_cmd(expr_text: str, rate: str | None, time_: str | None, fmt: str) -> i
     return 0
 
 
-@cli.command()
-@click.argument("expr_text", metavar="EXPR")
-@_cap_option
-@_help_option
-def verify(expr_text: str, max_vertices: int) -> int:
-    """Check the closed-form triple of EXPR against the BFS oracle."""
+def _verify(expr_text: str, max_vertices: int) -> int:
     expr = parse(expr_text)
     # Building first refuses an over-cap expression before its closed form,
     # which can be a huge power, is evaluated.
@@ -225,26 +180,13 @@ def verify(expr_text: str, max_vertices: int) -> int:
     ]
     _emit("table", rows)
     if closed == oracle:
-        click.echo("PASS", file=sys.stdout)
+        print("PASS")
         return 0
-    click.echo("MISMATCH", file=sys.stdout)
+    print("MISMATCH")
     return 2
 
 
-@cli.command()
-@click.argument("expr_texts", metavar="EXPR...", nargs=-1, required=True)
-@click.option(
-    "--sort",
-    "sort_key",
-    type=click.Choice(["mean", "delta", "size"]),
-    default="mean",
-    show_default=True,
-    help="Ranking key (mean = mean distance between different vertices).",
-)
-@_format_option
-@_help_option
-def compare(expr_texts: tuple[str, ...], sort_key: str, fmt: str) -> int:
-    """Rank topologies by closed-form indicators, ascending."""
+def _compare(expr_texts: list[str], sort_key: str, fmt: str) -> int:
     reports = []
     for text in expr_texts:
         try:
@@ -265,13 +207,9 @@ def compare(expr_texts: tuple[str, ...], sort_key: str, fmt: str) -> int:
     return 0
 
 
-@cli.command()
-@click.option("--arity", type=int, required=True, help="Tree arity (>= 2).")
-@click.option("--terms", type=int, required=True, help="Number of coefficients (>= 1).")
-@_format_option
-@_help_option
-def series(arity: int, terms: int, fmt: str) -> int:
-    """Generating-series coefficients vs the tree closed form (self-test)."""
+def _series(arity: int, terms: int, fmt: str) -> int:
+    if terms > MAX_SERIES_TERMS:
+        raise ResourceLimitError(terms, MAX_SERIES_TERMS, quantity="--terms", cap="series term limit")
     coefficients = gf_series(arity, terms)
     rows = [(k, c, tree_triple(arity, k + 1).delta) for k, c in enumerate(coefficients.terms)]
     matches = [c == tree_delta for _, c, tree_delta in rows]
@@ -297,13 +235,7 @@ def series(arity: int, terms: int, fmt: str) -> int:
     return 0 if all(matches) else 2
 
 
-@cli.command()
-@click.argument("expr_text", metavar="EXPR")
-@_cap_option
-@_format_option
-@_help_option
-def hist(expr_text: str, max_vertices: int, fmt: str) -> int:
-    """Distance histogram of EXPR from the BFS oracle, plus delta."""
+def _hist(expr_text: str, max_vertices: int, fmt: str) -> int:
     graph = build_expr(parse(expr_text), max_vertices)
     counts = distance_histogram(graph)
     delta = transmission(counts)
@@ -319,28 +251,277 @@ def hist(expr_text: str, max_vertices: int, fmt: str) -> int:
     return 0
 
 
+class UsageError(Exception):
+    """The arguments do not fit the command's row of :data:`COMMANDS`."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`UsageError` where argparse would print and exit with 2."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+class Option(NamedTuple):
+    """One ``--flag VALUE`` option, passed to the callback as ``dest``.
+
+    Its value is one of ``choices`` when they are given, else an integer
+    (of at least ``minimum``, when that is given) when ``integer`` is set,
+    else the text itself. An option left out takes ``default``, which its
+    help shows unless it is None.
+    """
+
+    flag: str
+    dest: str
+    help: str
+    choices: tuple[str, ...] = ()
+    integer: bool = False
+    minimum: int | None = None
+    default: object = None
+    required: bool = False
+
+    def metavar(self) -> str:
+        if self.choices:
+            return f"[{'|'.join(self.choices)}]"
+        if self.integer:
+            return "INTEGER" if self.minimum is None else "INTEGER RANGE"
+        return "TEXT"
+
+    def convert(self, text: str):
+        if self.choices:
+            if text not in self.choices:
+                listed = ", ".join(map(repr, self.choices))
+                raise UsageError(f"Invalid value for {self.flag!r}: {text!r} is not one of {listed}.")
+            return text
+        if not self.integer:
+            return text
+        try:
+            value = int(text)
+        except ValueError:
+            raise UsageError(f"Invalid value for {self.flag!r}: {text!r} is not a valid {self.metavar().lower()}.")
+        if self.minimum is not None and value < self.minimum:
+            raise UsageError(f"Invalid value for {self.flag!r}: {value} is not in the range x>={self.minimum}.")
+        return value
+
+    def help_row(self) -> tuple[str, str]:
+        notes = [f"default: {self.default}"] if self.default is not None else []
+        notes += [f"x>={self.minimum}"] if self.minimum is not None else []
+        notes += ["required"] if self.required else []
+        return f"{self.flag} {self.metavar()}", f"{self.help}  [{'; '.join(notes)}]" if notes else self.help
+
+
+_HELP_ROW = ("--help", "Show this message and exit.")
+
+_NO_VALUE = object()
+
+
+def _page(usage: str, description: str, sections: dict[str, list[tuple[str, str]]]) -> str:
+    """A help page: usage, description, then each section's rows in two
+    columns, the terms padded to the longest and each text wrapped beside it."""
+    import textwrap  # only a help page needs it
+
+    lines = [f"Usage: {usage}", "", textwrap.fill(description, HELP_WIDTH, initial_indent="  ", subsequent_indent="  ")]
+    for title, rows in sections.items():
+        lines += ["", f"{title}:"]
+        column = max(len(term) for term, _ in rows) + 4
+        for term, text in rows:
+            first, *rest = textwrap.wrap(text, HELP_WIDTH - column)
+            lines.append(f"  {term.ljust(column - 4)}  {first}")
+            lines += [" " * column + line for line in rest]
+    return "\n".join(lines) + "\n"
+
+
+def _parser(pages: dict[str, Callable[[], str]], options: tuple[Option, ...] = ()) -> argparse.ArgumentParser:
+    """A parser that keeps each page flag's page in ``pages``, each option's
+    text under its ``dest``, and other arguments in ``values``."""
+    parser = _Parser(add_help=False, allow_abbrev=False)
+    parser.add_argument("values", nargs="*")
+    for option in options:
+        # Taking at most one value, an option left bare gets ``_NO_VALUE``
+        # and is refused in the same words on every Python version.
+        parser.add_argument(option.flag, dest=option.dest, nargs="?", const=_NO_VALUE)
+    for flag, page in pages.items():
+        parser.add_argument(flag, dest="pages", action="append_const", const=page)
+    return parser
+
+
+def _split(parser: argparse.ArgumentParser, args: list[str]) -> tuple[argparse.Namespace, list[str]]:
+    """``args`` parsed, and every value that is not an option's, in order.
+    An unknown option is refused, naming the flags it is close to."""
+    namespace, extras = parser.parse_known_args(args)
+    # Left over after the values, a "--" still ends the options.
+    end = extras.index("--") if "--" in extras else len(extras)
+    for extra in extras[:end]:
+        if extra.startswith("-") and extra != "-":
+            import difflib  # only an unknown option needs it
+
+            name = extra.split("=", 1)[0]
+            flags = [flag for action in parser._actions for flag in action.option_strings]
+            close = difflib.get_close_matches(name, flags)
+            hint = ""
+            if len(close) == 1:
+                hint = f" Did you mean {close[0]!r}?"
+            elif close:
+                hint = f" (Did you mean one of: {', '.join(map(repr, close))}?)"
+            raise UsageError(f"No such option {name!r}.{hint}")
+    return namespace, (namespace.values or []) + extras[:end] + extras[end + 1 :]
+
+
+@dataclass
+class Command:
+    """One command: its callback gets the positional argument first, if the
+    command has one, then each option by its ``dest``. An ``argument`` whose
+    name ends in ``...`` takes one or more values, passed as a list."""
+
+    name: str
+    callback: Callable[..., int]
+    help: str
+    argument: str | None
+    options: tuple[Option, ...]
+
+    @cached_property
+    def parser(self) -> argparse.ArgumentParser:
+        # Built on first use: a process that runs one command builds one parser.
+        return _parser({"--help": self.help_page}, self.options)
+
+    def help_page(self) -> str:
+        usage = f"transmit {self.name} [OPTIONS]" + (f" {self.argument}" if self.argument else "")
+        rows = [option.help_row() for option in self.options]
+        return _page(usage, self.help, {"Options": [*rows, _HELP_ROW]})
+
+    def run(self, args: list[str]) -> int:
+        namespace, values = _split(self.parser, args)
+        if namespace.pages:
+            sys.stdout.write(namespace.pages[0]())
+            return 0
+        given = {}
+        for option in self.options:
+            text = getattr(namespace, option.dest)
+            if text is _NO_VALUE:
+                raise UsageError(f"Option {option.flag!r} requires an argument.")
+            if text is None and option.required:
+                raise UsageError(f"Missing option {option.flag!r}.")
+            given[option.dest] = option.default if text is None else option.convert(text)
+        if self.argument and not values:
+            raise UsageError(f"Missing argument {self.argument!r}.")
+        if self.argument is None:
+            positional, extra = [], values
+        elif self.argument.endswith("..."):
+            positional, extra = [values], []
+        else:
+            positional, extra = values[:1], values[1:]
+        if extra:
+            raise UsageError(f"Got unexpected extra argument{'s' * (len(extra) > 1)} ({' '.join(extra)})")
+        return self.callback(*positional, **given)
+
+
+_FORMAT = Option("--format", "fmt", "Output format.", choices=FORMATS, default="table")
+_CAP = Option(
+    "--max-vertices",
+    "max_vertices",
+    "Vertex cap for oracle-backed commands.",
+    integer=True,
+    minimum=1,
+    default=DEFAULT_VERTEX_CAP,
+)
+_SORT = Option(
+    "--sort",
+    "sort_key",
+    "Ranking key (mean = mean distance between different vertices).",
+    choices=("mean", "delta", "size"),
+    default="mean",
+)
+
+COMMANDS = {
+    command.name: command
+    for command in (
+        Command(
+            "eval",
+            _eval,
+            "Evaluate EXPR with the closed-form engine (no size cap).",
+            "EXPR",
+            (
+                Option("--rate", "rate", "Message rate per device pair (exact decimal)."),
+                Option("--time", "time_", "Time span (exact decimal)."),
+                _FORMAT,
+            ),
+        ),
+        Command("verify", _verify, "Check the closed-form triple of EXPR against the BFS oracle.", "EXPR", (_CAP,)),
+        Command(
+            "compare",
+            _compare,
+            "Rank topologies by closed-form indicators, ascending.",
+            "EXPR...",
+            (_SORT, _FORMAT),
+        ),
+        Command(
+            "series",
+            _series,
+            "Generating-series coefficients vs the tree closed form (self-test).",
+            None,
+            (
+                Option("--arity", "arity", "Tree arity (>= 2).", integer=True, required=True),
+                Option("--terms", "terms", "Number of coefficients (>= 1).", integer=True, required=True),
+                _FORMAT,
+            ),
+        ),
+        Command("hist", _hist, "Distance histogram of EXPR from the BFS oracle, plus delta.", "EXPR", (_CAP, _FORMAT)),
+    )
+}
+
+
+def _group_help() -> str:
+    import textwrap  # only a help page needs it
+
+    names = sorted(COMMANDS)
+    # A command's help line is cut short to fit beside the longest name.
+    limit = HELP_WIDTH - 6 - max(map(len, names))
+    commands = [
+        (name, textwrap.shorten(COMMANDS[name].help, limit, placeholder="...", break_on_hyphens=False))
+        for name in names
+    ]
+    options = [("--version", "Show the version and exit."), _HELP_ROW]
+    return _page(
+        "transmit [OPTIONS] COMMAND [ARGS]...",
+        "Exact transmission calculator for composed network topologies.",
+        {"Options": options, "Commands": commands},
+    )
+
+
+def _run_group(args: list[str]) -> int:
+    """``args`` that do not start with a command's name: the group's options,
+    then what should have been a command's name."""
+    end = next((i for i, arg in enumerate(args) if not arg.startswith("-")), len(args))
+    pages = {"--version": lambda: f"transmit, version {__version__}\n", "--help": _group_help}
+    namespace, values = _split(_parser(pages), args[:end])
+    if namespace.pages:
+        sys.stdout.write(namespace.pages[0]())
+        return 0
+    rest = values + args[end:]
+    if rest:
+        raise UsageError(f"No such command {rest[0]!r}.")
+    sys.stdout.write(_group_help())
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point; maps error classes to the documented exit codes."""
+    args = sys.argv[1:] if argv is None else list(argv)
     try:
-        result = cli.main(args=argv, prog_name="transmit", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.exceptions.NoArgsIsHelpError as exc:
-        click.echo(exc.format_message(), file=sys.stdout)
-        return 0
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", file=sys.stderr)
+        command = COMMANDS.get(args[0]) if args else None
+        return command.run(args[1:]) if command else _run_group(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceLimitError as exc:
-        click.echo(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except TransmitError as exc:  # parse and validation errors
-        click.echo(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    except click.exceptions.Abort:
-        click.echo("aborted", file=sys.stderr)
+    except KeyboardInterrupt:
+        sys.stderr.write("\naborted\n")
         return 1
-    return result if isinstance(result, int) else 0
 
 
-__all__ = ["cli", "main"]
+__all__ = ["COMMANDS", "main"]

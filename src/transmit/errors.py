@@ -68,13 +68,16 @@ class ConnectivityError(TransmitError):
 
 
 class ResourceLimitError(TransmitError):
-    """A construction or oracle operation would exceed the vertex cap."""
+    """A request would exceed a fixed limit: by default the vertex cap of a
+    construction; ``quantity`` and ``cap`` name another."""
 
-    def __init__(self, estimated_size: int, limit: int):
+    def __init__(
+        self, estimated_size: int, limit: int, *, quantity: str = "estimated size", cap: str = "vertex cap"
+    ):
         self.estimated_size = estimated_size
         self.limit = limit
         super().__init__(
-            f"estimated size {decimal_text(estimated_size)} exceeds the vertex cap"
+            f"{quantity} {decimal_text(estimated_size)} exceeds the {cap}"
             f" of {decimal_text(limit)}"
         )
 

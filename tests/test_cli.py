@@ -473,6 +473,21 @@ class TestSeries:
         assert code == 1
         assert "terms" in err.lower()
 
+    def test_terms_past_the_limit_are_refused_before_any_work(self, capsys, monkeypatch):
+        # the convolution is quadratic in the terms: 10**11 of them never finish
+        monkeypatch.setattr(transmit.cli, "gf_series", lambda *args: pytest.fail("series computed terms"))
+        for terms in (transmit.cli.MAX_SERIES_TERMS + 1, 10**11):
+            code, out, err = run(capsys, "series", "--arity", "2", "--terms", str(terms))
+            assert (code, out) == (3, "")
+            assert err == f"error: --terms {terms} exceeds the series term limit of 1000\n"
+
+    def test_terms_at_the_limit_are_computed(self, capsys):
+        code, out, err = run(capsys, "series", "--arity", "2", "--terms", "1000", "--format", "csv")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 1001
+        assert lines[-1].startswith("999,") and lines[-1].endswith(",yes")
+
 
 class TestHist:
     def test_star_two(self, capsys):
@@ -526,6 +541,50 @@ class TestUsage:
 
     def test_version_from_a_checkout(self, capsys):
         assert run(capsys, "--version") == (0, "transmit, version 0.1.0\n", "")
+
+    def test_interrupt_is_reported_as_aborted(self, capsys, monkeypatch):
+        def interrupt(expr):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(transmit.cli, "evaluate_expr", interrupt)
+        assert run(capsys, "eval", "path(2)") == (1, "", "\naborted\n")
+
+    def test_options_between_expressions(self, capsys):
+        last = run(capsys, "compare", "path(3)", "star(3)", "cycle(5)", "--sort", "size", "--format", "csv")
+        between = run(capsys, "compare", "path(3)", "--sort", "size", "star(3)", "--format", "csv", "cycle(5)")
+        first = run(capsys, "compare", "--sort", "size", "--format", "csv", "path(3)", "star(3)", "cycle(5)")
+        assert last[0] == 0 and last[1].count("\n") == 4
+        assert between == last == first
+
+
+#: Each is refused with exit code 1, one error line and nothing on stdout.
+USAGE_ERRORS = [
+    (("transmogrify",), "No such command 'transmogrify'."),
+    (("eval", "path(2)", "--bogus"), "No such option '--bogus'."),
+    # an abbreviation of --format is refused, not read as --format
+    (("eval", "path(2)", "--form", "json"), "No such option '--form'. Did you mean '--format'?"),
+    (("eval",), "Missing argument 'EXPR'."),
+    (("compare", "--sort", "size"), "Missing argument 'EXPR...'."),
+    (("series", "--terms", "2"), "Missing option '--arity'."),
+    (("eval", "path(2)", "--format"), "Option '--format' requires an argument."),
+    (("eval", "path(2)", "--rate", "--time", "1"), "Option '--rate' requires an argument."),
+    (("eval", "path(2)", "--format", "xml"), "Invalid value for '--format': 'xml' is not one of 'table', 'json', 'csv'."),
+    (("series", "--arity", "x", "--terms", "2"), "Invalid value for '--arity': 'x' is not a valid integer."),
+    (("verify", "path(2)", "--max-vertices", "0"), "Invalid value for '--max-vertices': 0 is not in the range x>=1."),
+    (("verify", "path(2)", "extra"), "Got unexpected extra argument (extra)"),
+    (("hist", "path(2)", "--", "a", "b"), "Got unexpected extra arguments (a b)"),
+]
+
+
+@pytest.mark.parametrize(("argv", "message"), USAGE_ERRORS, ids=[" ".join(a) for a, _ in USAGE_ERRORS])
+def test_usage_error_contract(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_importing_the_cli_loads_no_click():
+    code = "import sys, transmit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'click'))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
 def test_redirected_streams_are_not_kept_alive():

@@ -306,3 +306,105 @@ def test_stdout_bytes(capsys, argv, expected):
     captured = capsys.readouterr()
     assert captured.out == expected
     assert captured.err == ""
+
+
+GROUP_HELP = """\
+Usage: transmit [OPTIONS] COMMAND [ARGS]...
+
+  Exact transmission calculator for composed network topologies.
+
+Options:
+  --version  Show the version and exit.
+  --help     Show this message and exit.
+
+Commands:
+  compare  Rank topologies by closed-form indicators, ascending.
+  eval     Evaluate EXPR with the closed-form engine (no size cap).
+  hist     Distance histogram of EXPR from the BFS oracle, plus delta.
+  series   Generating-series coefficients vs the tree closed form...
+  verify   Check the closed-form triple of EXPR against the BFS oracle.
+"""
+
+EVAL_HELP = """\
+Usage: transmit eval [OPTIONS] EXPR
+
+  Evaluate EXPR with the closed-form engine (no size cap).
+
+Options:
+  --rate TEXT                Message rate per device pair (exact decimal).
+  --time TEXT                Time span (exact decimal).
+  --format [table|json|csv]  Output format.  [default: table]
+  --help                     Show this message and exit.
+"""
+
+VERIFY_HELP = """\
+Usage: transmit verify [OPTIONS] EXPR
+
+  Check the closed-form triple of EXPR against the BFS oracle.
+
+Options:
+  --max-vertices INTEGER RANGE  Vertex cap for oracle-backed commands.
+                                [default: 100000; x>=1]
+  --help                        Show this message and exit.
+"""
+
+COMPARE_HELP = """\
+Usage: transmit compare [OPTIONS] EXPR...
+
+  Rank topologies by closed-form indicators, ascending.
+
+Options:
+  --sort [mean|delta|size]   Ranking key (mean = mean distance between
+                             different vertices).  [default: mean]
+  --format [table|json|csv]  Output format.  [default: table]
+  --help                     Show this message and exit.
+"""
+
+SERIES_HELP = """\
+Usage: transmit series [OPTIONS]
+
+  Generating-series coefficients vs the tree closed form (self-test).
+
+Options:
+  --arity INTEGER            Tree arity (>= 2).  [required]
+  --terms INTEGER            Number of coefficients (>= 1).  [required]
+  --format [table|json|csv]  Output format.  [default: table]
+  --help                     Show this message and exit.
+"""
+
+HIST_HELP = """\
+Usage: transmit hist [OPTIONS] EXPR
+
+  Distance histogram of EXPR from the BFS oracle, plus delta.
+
+Options:
+  --max-vertices INTEGER RANGE  Vertex cap for oracle-backed commands.
+                                [default: 100000; x>=1]
+  --format [table|json|csv]     Output format.  [default: table]
+  --help                        Show this message and exit.
+"""
+
+#: Pages are laid out for 78 columns, whatever the terminal's width.
+HELP_CASES = [
+    ((), GROUP_HELP),
+    (("--help",), GROUP_HELP),
+    (("--version",), "transmit, version 0.1.0\n"),
+    (("eval", "--help"), EVAL_HELP),
+    (("verify", "--help"), VERIFY_HELP),
+    (("compare", "--help"), COMPARE_HELP),
+    (("series", "--help"), SERIES_HELP),
+    (("hist", "--help"), HIST_HELP),
+]
+
+
+@pytest.mark.parametrize("columns", [None, "40", "200"])
+@pytest.mark.parametrize(("argv", "expected"), HELP_CASES, ids=[" ".join(a) or "(none)" for a, _ in HELP_CASES])
+def test_help_bytes(capsys, monkeypatch, columns, argv, expected):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
