@@ -1,22 +1,22 @@
 """Command-line surface tying the parser, both engines and reporting together.
 
 Exit codes: 0 success (and verify pass), 1 usage/parse/validation error,
-2 verification mismatch, 3 resource limit (the vertex cap, or the number of
-series terms). Diagnostics go to stderr, data to stdout, and output is
-byte-identical across runs for the same input.
+2 verification mismatch, 3 resource limit (the vertex cap, or a series'
+terms, or its terms times its arity's bits). Diagnostics go to stderr, data
+to stdout, and output is byte-identical across runs for the same input.
 
 Each command is one :class:`Command` row of :data:`COMMANDS`: its name,
 callback, positional argument, options and help line. The row drives both
-the parsing and the help page. :mod:`argparse` only splits the arguments;
-the row converts and checks each value, so the messages for a missing,
-unknown, bare or invalid option or argument do not depend on the Python
-version. Help pages are laid out for :data:`HELP_WIDTH` columns, whatever
-the terminal's width.
+the parsing and the help page. :func:`_scan` reads the arguments in one
+pass, with one rule wherever a token stands: a first ``--`` ends the
+options, and before it a token is an option when it is a known flag, alone
+or before ``=``, or when it starts with ``-``, is not ``-`` or a negative
+number (``-5``, ``-.5``) and holds no space. Help pages are laid out for
+:data:`HELP_WIDTH` columns, whatever the terminal's width.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv as csv_module
 import decimal
 import io
@@ -25,7 +25,6 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -47,8 +46,9 @@ FORMATS = ("table", "json", "csv")
 #: Columns a help page is laid out for.
 HELP_WIDTH = 78
 
-#: The most coefficients ``series`` computes. Its convolution is quadratic in
-#: the number of terms: 1000 take a fraction of a second, 2000 several seconds.
+#: The most coefficients ``series`` computes; the terms times the arity's bit
+#: length may be at most twice this. The convolution costs about terms² × bits:
+#: 1000 terms of arity 2 or 3 take a fraction of a second, 2000 several seconds.
 MAX_SERIES_TERMS = 1000
 
 
@@ -210,6 +210,9 @@ def _compare(expr_texts: list[str], sort_key: str, fmt: str) -> int:
 def _series(arity: int, terms: int, fmt: str) -> int:
     if terms > MAX_SERIES_TERMS:
         raise ResourceLimitError(terms, MAX_SERIES_TERMS, quantity="--terms", cap="series term limit")
+    size = terms * arity.bit_length()
+    if size > 2 * MAX_SERIES_TERMS:
+        raise ResourceLimitError(size, 2 * MAX_SERIES_TERMS, quantity="--terms times arity bits", cap="series size limit")
     coefficients = gf_series(arity, terms)
     rows = [(k, c, tree_triple(arity, k + 1).delta) for k, c in enumerate(coefficients.terms)]
     matches = [c == tree_delta for _, c, tree_delta in rows]
@@ -253,13 +256,6 @@ def _hist(expr_text: str, max_vertices: int, fmt: str) -> int:
 
 class UsageError(Exception):
     """The arguments do not fit the command's row of :data:`COMMANDS`."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """Raises :class:`UsageError` where argparse would print and exit with 2."""
-
-    def error(self, message: str):
-        raise UsageError(message)
 
 
 class Option(NamedTuple):
@@ -331,40 +327,54 @@ def _page(usage: str, description: str, sections: dict[str, list[tuple[str, str]
     return "\n".join(lines) + "\n"
 
 
-def _parser(pages: dict[str, Callable[[], str]], options: tuple[Option, ...] = ()) -> argparse.ArgumentParser:
-    """A parser that keeps each page flag's page in ``pages``, each option's
-    text under its ``dest``, and other arguments in ``values``."""
-    parser = _Parser(add_help=False, allow_abbrev=False)
-    parser.add_argument("values", nargs="*")
-    for option in options:
-        # Taking at most one value, an option left bare gets ``_NO_VALUE``
-        # and is refused in the same words on every Python version.
-        parser.add_argument(option.flag, dest=option.dest, nargs="?", const=_NO_VALUE)
-    for flag, page in pages.items():
-        parser.add_argument(flag, dest="pages", action="append_const", const=page)
-    return parser
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")  # as argparse reads one: a value, not an option
 
 
-def _split(parser: argparse.ArgumentParser, args: list[str]) -> tuple[argparse.Namespace, list[str]]:
-    """``args`` parsed, and every value that is not an option's, in order.
-    An unknown option is refused, naming the flags it is close to."""
-    namespace, extras = parser.parse_known_args(args)
-    # Left over after the values, a "--" still ends the options.
-    end = extras.index("--") if "--" in extras else len(extras)
-    for extra in extras[:end]:
-        if extra.startswith("-") and extra != "-":
-            import difflib  # only an unknown option needs it
+def _scan(args: list[str], flags: list[str], pages: dict[str, Callable[[], str]]):
+    """``args`` read once, in order, by the module's rule: each option's text
+    by its flag, the other arguments, and the first page flag's page or None.
+    A bare option takes the next token unless that is an option or ``--``;
+    otherwise it holds ``_NO_VALUE``. An unknown option is refused."""
+    known = {*flags, *pages}
 
-            name = extra.split("=", 1)[0]
-            flags = [flag for action in parser._actions for flag in action.option_strings]
-            close = difflib.get_close_matches(name, flags)
-            hint = ""
-            if len(close) == 1:
-                hint = f" Did you mean {close[0]!r}?"
-            elif close:
-                hint = f" (Did you mean one of: {', '.join(map(repr, close))}?)"
-            raise UsageError(f"No such option {name!r}.{hint}")
-    return namespace, (namespace.values or []) + extras[:end] + extras[end + 1 :]
+    def is_option(arg: str) -> bool:
+        return arg.split("=", 1)[0] in known or (
+            arg[:1] == "-" and arg != "-" and " " not in arg and not _NEGATIVE_NUMBER.match(arg)
+        )
+
+    texts, values, page, unknown = {}, [], None, None
+    pending = args[::-1]  # the next token last
+    while pending:
+        arg = pending.pop()
+        if arg == "--":
+            values += reversed(pending)
+            break
+        name, equals, text = arg.partition("=")
+        if not is_option(arg):
+            values.append(arg)
+        elif name in pages:
+            if equals:
+                raise UsageError(f"argument {name}: ignored explicit argument {text!r}")
+            page = page or pages[name]
+        elif name not in flags:
+            unknown = unknown or name
+        elif equals:
+            texts[name] = text
+        elif pending and not is_option(pending[-1]):
+            texts[name] = pending.pop()
+        else:
+            texts[name] = _NO_VALUE
+    if unknown:
+        import difflib  # only an unknown option needs it
+
+        close = difflib.get_close_matches(unknown, [*flags, *pages])
+        hint = ""
+        if len(close) == 1:
+            hint = f" Did you mean {close[0]!r}?"
+        elif close:
+            hint = f" (Did you mean one of: {', '.join(map(repr, close))}?)"
+        raise UsageError(f"No such option {unknown!r}.{hint}")
+    return texts, values, page
 
 
 @dataclass
@@ -379,24 +389,19 @@ class Command:
     argument: str | None
     options: tuple[Option, ...]
 
-    @cached_property
-    def parser(self) -> argparse.ArgumentParser:
-        # Built on first use: a process that runs one command builds one parser.
-        return _parser({"--help": self.help_page}, self.options)
-
     def help_page(self) -> str:
         usage = f"transmit {self.name} [OPTIONS]" + (f" {self.argument}" if self.argument else "")
         rows = [option.help_row() for option in self.options]
         return _page(usage, self.help, {"Options": [*rows, _HELP_ROW]})
 
     def run(self, args: list[str]) -> int:
-        namespace, values = _split(self.parser, args)
-        if namespace.pages:
-            sys.stdout.write(namespace.pages[0]())
+        texts, values, page = _scan(args, [option.flag for option in self.options], {"--help": self.help_page})
+        if page:
+            sys.stdout.write(page())
             return 0
         given = {}
         for option in self.options:
-            text = getattr(namespace, option.dest)
+            text = texts.get(option.flag)
             if text is _NO_VALUE:
                 raise UsageError(f"Option {option.flag!r} requires an argument.")
             if text is None and option.required:
@@ -493,14 +498,11 @@ def _run_group(args: list[str]) -> int:
     then what should have been a command's name."""
     end = next((i for i, arg in enumerate(args) if not arg.startswith("-")), len(args))
     pages = {"--version": lambda: f"transmit, version {__version__}\n", "--help": _group_help}
-    namespace, values = _split(_parser(pages), args[:end])
-    if namespace.pages:
-        sys.stdout.write(namespace.pages[0]())
-        return 0
+    _, values, page = _scan(args[:end], [], pages)
     rest = values + args[end:]
-    if rest:
+    if rest and not page:
         raise UsageError(f"No such command {rest[0]!r}.")
-    sys.stdout.write(_group_help())
+    sys.stdout.write((page or _group_help)())
     return 0
 
 
@@ -510,13 +512,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         command = COMMANDS.get(args[0]) if args else None
         return command.run(args[1:]) if command else _run_group(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except TransmitError as exc:  # parse and validation errors
+    except (UsageError, TransmitError) as exc:  # usage, parse and validation errors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -481,6 +481,19 @@ class TestSeries:
             assert (code, out) == (3, "")
             assert err == f"error: --terms {terms} exceeds the series term limit of 1000\n"
 
+    def test_terms_times_arity_bits_past_the_limit_are_refused_before_any_work(self, capsys, monkeypatch):
+        # each coefficient has about 2 * terms * arity.bit_length() bits
+        monkeypatch.setattr(transmit.cli, "gf_series", lambda *args: pytest.fail("series computed terms"))
+        for arity, terms, size in ((4, 1000, 3000), (10**6, 1000, 20000), (2**2000, 1, 2001)):
+            code, out, err = run(capsys, "series", "--arity", str(arity), "--terms", str(terms))
+            assert (code, out) == (3, "")
+            assert err == f"error: --terms times arity bits {size} exceeds the series size limit of 2000\n"
+
+    def test_terms_times_arity_bits_at_the_limit_are_computed(self, capsys):
+        code, out, err = run(capsys, "series", "--arity", str(2**1999), "--terms", "1", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].endswith(",yes")
+
     def test_terms_at_the_limit_are_computed(self, capsys):
         code, out, err = run(capsys, "series", "--arity", "2", "--terms", "1000", "--format", "csv")
         assert (code, err) == (0, "")
@@ -573,6 +586,14 @@ USAGE_ERRORS = [
     (("verify", "path(2)", "--max-vertices", "0"), "Invalid value for '--max-vertices': 0 is not in the range x>=1."),
     (("verify", "path(2)", "extra"), "Got unexpected extra argument (extra)"),
     (("hist", "path(2)", "--", "a", "b"), "Got unexpected extra arguments (a b)"),
+    # a negative number is a value wherever it stands, an exponent is not a number
+    (("eval", "path(2)", "--format", "csv", "-5"), "Got unexpected extra argument (-5)"),
+    (("verify", "path(2)", "--max-vertices", "9", "-1"), "Got unexpected extra argument (-1)"),
+    (
+        ("compare", "path(2)", "--sort", "size", "star(3)", "-5"),
+        "in expression '-5': parse error at offset 1: expected a topology keyword, found '-'",
+    ),
+    (("eval", "path(2)", "--rate", "1", "--time", "-1e3"), "No such option '-1e3'."),
 ]
 
 
@@ -582,7 +603,7 @@ def test_usage_error_contract(capsys, argv, message):
 
 
 def test_importing_the_cli_loads_no_click():
-    code = "import sys, transmit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'click'))"
+    code = "import sys, transmit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('click', 'argparse')))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 

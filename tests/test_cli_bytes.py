@@ -390,6 +390,7 @@ HELP_CASES = [
     (("--help",), GROUP_HELP),
     (("--version",), "transmit, version 0.1.0\n"),
     (("eval", "--help"), EVAL_HELP),
+    (("eval", "path(2)", "--help", "-5"), EVAL_HELP),
     (("verify", "--help"), VERIFY_HELP),
     (("compare", "--help"), COMPARE_HELP),
     (("series", "--help"), SERIES_HELP),
