@@ -13,17 +13,13 @@ reproducible:
 - Cartesian and rooted product: (g, h) maps to g * |H| + h, so the root
   is (0, 0); g's edges join the copies of H at every h, or at h's root
   only in the rooted product;
-- attach: the new pendant root is 0, old vertices shift up by one, so
-  attach^k(g) is the path 0..k-1 with k-1 joined to g's root, which is
-  vertex k, and g's vertex w at w + k.
+- attach: the new pendant root is 0, and old vertices shift up by one.
 
-Every graph is rooted at vertex 0. Each builder writes the strictly
-increasing adjacency rows of its graph straight from these rules and
-returns them; each combinator reads its parts' rows, at O(V+E) per level.
-An attach only counts: it returns a pending :class:`Chain`, which the
-combinator above it or ``build_expr`` writes out in one pass, so an attach
-chain costs O(V+E) in total. Only ``build_expr`` makes, and so validates,
-a ``RootedGraph``.
+Every graph is rooted at vertex 0. Primitives and products write the
+strictly increasing adjacency rows of their graphs straight from these
+rules. A wedge or an attach returns a pending :class:`Glued` instead, and
+``_written`` places a whole nest of them in one pass, at O(V+E). Only
+``build_expr`` makes, and so validates, a ``RootedGraph``.
 """
 
 from __future__ import annotations
@@ -84,51 +80,54 @@ def tree_graph(arity: int, depth: int) -> tuple:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class Chain:
-    """attach^depth(rows), not yet written out: an attach over a chain
-    only adds one to its depth, so no level copies the rows below it."""
+@dataclass(slots=True)
+class Glued:
+    """A wedge of ``parts``, not yet written out; with ``pendant``, an attach."""
 
-    depth: int
-    rows: tuple
+    size: int
+    parts: tuple
+    pendant: bool
 
-
-def attach_root(g: tuple | Chain) -> Chain:
-    """Add a pendant vertex at the root and make the pendant the new root."""
-    if type(g) is Chain:
-        return Chain(g.depth + 1, g.rows)
-    return Chain(1, g)
+    def __len__(self) -> int:
+        return self.size
 
 
-def chain_rows(depth: int, g: tuple) -> tuple:
-    """The rows of attach^depth(g), written in one pass over g's rows."""
-    rows = [(1,)] + [(i - 1, i + 1) for i in range(1, depth)]
-    rows += [tuple([w + depth for w in row]) for row in g]
-    rows[depth] = (depth - 1,) + rows[depth]
-    return tuple(rows)
-
-
-def _written(g: tuple | Chain) -> tuple:
-    """The rows of a builder's result, a pending chain written out."""
-    return chain_rows(g.depth, g.rows) if type(g) is Chain else g
-
-
-def wedge_graphs(parts: list[tuple | Chain]) -> tuple:
+def wedge_graphs(parts: list[tuple | Glued]) -> Glued:
     """Glue all parts at their roots, vertex 0 of each, into vertex 0."""
-    root_row = []
-    rows = []
-    shift = 0
-    for adjacency in map(_written, parts):
-        # Each row is renumbered as it stands: the root stays 0, and so
-        # first in every row that lists it; vertex w > 0 moves up by shift.
-        moved = [tuple([w and w + shift for w in row]) for row in adjacency]
-        root_row += moved[0]
-        rows += moved[1:]
-        shift += len(adjacency) - 1
-    return (tuple(root_row),) + tuple(rows)
+    return Glued(sum(map(len, parts)) - len(parts) + 1, tuple(parts), False)
 
 
-def _product_graphs(g: tuple | Chain, h: tuple | Chain, joined: range | tuple[int]) -> tuple:
+def attach_root(g: tuple | Glued) -> Glued:
+    """Add a pendant vertex at the root and make the pendant the new root."""
+    return Glued(len(g) + 1, (g,), True)
+
+
+def _written(g: tuple | Glued) -> tuple:
+    """The rows of a builder's result, a pending nest written out in one
+    pre-order pass. A part placed at (r, s) puts its root at r and its vertex
+    w > 0 at w + s; as r <= s, every row grows in increasing order."""
+    if type(g) is not Glued:
+        return g
+    rows = [[] for _ in range(g.size)]
+    stack = [(g, 0, 0)]
+    while stack:
+        g, r, s = stack.pop()
+        if type(g) is not Glued:
+            rows[r] += [w + s for w in g[0]]
+            rows[s + 1:s + len(g)] = [tuple([w + s if w else r for w in row]) for row in g[1:]]
+        elif g.pendant:  # the part hangs from a new root s + 1, joined to r
+            rows[r].append(s + 1)
+            rows[s + 1].append(r)
+            stack.append((g.parts[0], s + 1, s + 1))
+        else:  # the parts follow one another above s; the last is pushed first
+            s += g.size - 1
+            for part in reversed(g.parts):
+                s -= len(part) - 1
+                stack.append((part, r, s))
+    return tuple(map(tuple, rows))
+
+
+def _product_graphs(g: tuple | Glued, h: tuple | Glued, joined: range | tuple[int]) -> tuple:
     """One copy of h per vertex of g; g's edges join the copies at each
     vertex of h in ``joined``."""
     g, h = _written(g), _written(h)
@@ -152,18 +151,16 @@ def cartesian_graphs(g: tuple, h: tuple) -> tuple:
     return _product_graphs(g, h, range(len(h)))
 
 
-def rooted_product_graphs(g: tuple | Chain, h: tuple | Chain) -> tuple:
+def rooted_product_graphs(g: tuple | Glued, h: tuple | Glued) -> tuple:
     """One copy of h per vertex of g; g's edges join the copies at h's root."""
     return _product_graphs(g, h, (0,))
 
 
-def power_graph(g: tuple | Chain, k: int) -> tuple:
+def power_graph(g: tuple | Glued, k: int) -> tuple:
     """k-fold rooted product of g with itself. One vertex is its own power,
     and the cap lets it through at any k, so no product is run for it."""
     g = _written(g)
-    if len(g) == 1:
-        return g
-    return reduce(rooted_product_graphs, [g] * (k - 1), g)
+    return g if len(g) == 1 else reduce(rooted_product_graphs, [g] * (k - 1), g)
 
 
 def build_expr(expr: TopologyExpr, max_vertices: int = DEFAULT_VERTEX_CAP) -> RootedGraph:

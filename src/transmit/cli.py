@@ -3,7 +3,8 @@
 Exit codes: 0 success (and verify pass), 1 usage/parse/validation error,
 2 verification mismatch, 3 resource limit (the vertex cap, or a series'
 terms, or its terms times its arity's bits). Diagnostics go to stderr, data
-to stdout, and output is byte-identical across runs for the same input.
+to stdout, and output is byte-identical across runs for the same input. A
+stdout closed before all output is written exits 1 with one ``error:`` line.
 
 Each command is one :class:`Command` row of :data:`COMMANDS`: its name,
 callback, positional argument, options and help line. The row drives both
@@ -21,6 +22,7 @@ import csv as csv_module
 import decimal
 import io
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -511,12 +513,18 @@ def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
     try:
         command = COMMANDS.get(args[0]) if args else None
-        return command.run(args[1:]) if command else _run_group(args)
+        status = command.run(args[1:]) if command else _run_group(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (UsageError, TransmitError) as exc:  # usage, parse and validation errors
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the rest goes to the null device, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before all output was written", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         sys.stderr.write("\naborted\n")

@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 
 import transmit.builders
 from transmit.builders import (
+    Glued,
+    _written,
     attach_root,
     build_expr,
     cartesian_graphs,
-    chain_rows,
     complete_graph,
     cycle_graph,
     mesh_graph,
+    path_graph,
     power_graph,
     rooted_product_graphs,
     wedge_graphs,
@@ -282,17 +284,18 @@ def test_build_expr_validates_only_the_final_graph(monkeypatch):
 def test_a_bad_row_deep_inside_fails_the_final_validation(monkeypatch, fault, message):
     # attach(path(3)) is the first wedge part, so its vertices keep their
     # numbers and the final graph fails with the text the part itself would;
-    # the fault goes where the wedge writes the pending chain out
-    def faulty(depth, g):
-        return fault(chain_rows(depth, g))
+    # the fault goes where the writer places the pending nest
+    def faulty(g):
+        return fault(_written(g))
 
-    monkeypatch.setattr(transmit.builders, "chain_rows", faulty)
+    monkeypatch.setattr(transmit.builders, "_written", faulty)
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         build_expr(parse("wedge(attach(path(3)),star(2))"))
 
 
-def recursive_tree(arity: int, depth: int) -> tuple:
-    """The wedge-of-attached-subtrees construction, kept only as a cross-check."""
+def recursive_tree(arity: int, depth: int) -> tuple | Glued:
+    """The wedge-of-attached-subtrees construction, not yet written out, kept
+    only as a cross-check."""
     if depth == 0:
         return ((),)
     subtree = recursive_tree(arity, depth - 1)
@@ -304,9 +307,28 @@ def recursive_tree(arity: int, depth: int) -> tuple:
 def test_direct_tree_matches_recursive_construction(arity, depth):
     # triples are isomorphism invariants, so equal triples back the claim
     direct = built(f"tree({arity},{depth})")
-    recursive = RootedGraph(recursive_tree(arity, depth))
+    recursive = RootedGraph(_written(recursive_tree(arity, depth)))
     assert direct.vertex_count == recursive.vertex_count
     assert oracle_triple(direct) == oracle_triple(recursive)
+
+
+def test_transmission_is_twice_the_networkx_wiener_index_on_the_corpus():
+    # a check of the built rows and the oracle by a library outside the
+    # package, independent of tests/oracle_util.py
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for text in oracle_corpus():
+        expr = parse(text)
+        if estimated_size(expr) > 500:
+            continue
+        g = build_expr(expr)
+        other = nx.Graph(edges(g))
+        other.add_nodes_from(range(g.vertex_count))
+        wiener = nx.wiener_index(other)  # unordered pairs, as a float
+        assert wiener == int(wiener), text
+        assert graph_transmission(g) == 2 * int(wiener), text
+        checked += 1
+    assert checked == 559
 
 
 def test_rows_match_the_edge_list_reference_on_the_corpus():
@@ -359,7 +381,7 @@ def rooted_graphs(draw, connected=False):
 @given(st.lists(rooted_graphs(), min_size=1, max_size=3))
 def test_combinators_match_the_edge_list_reference_at_any_root(parts):
     rows = [p.adjacency for p in parts]
-    assert RootedGraph(wedge_graphs(rows)) == reference_wedge(parts)
+    assert RootedGraph(_written(wedge_graphs(rows))) == reference_wedge(parts)
     g, h = parts[0], parts[-1]
     rooted = RootedGraph(rooted_product_graphs(g.adjacency, h.adjacency))
     assert rooted == reference_rooted_product(g, h)
@@ -373,9 +395,7 @@ def test_attach_chains_match_the_k_fold_reference_at_any_root(g, depth):
     chain, expected = g.adjacency, g
     for _ in range(depth):
         chain, expected = attach_root(chain), reference_attach(expected)
-    # no level copied the rows; they are written once, here
-    assert (chain.depth, chain.rows) == (depth, g.adjacency)
-    assert RootedGraph(chain_rows(chain.depth, chain.rows)) == expected
+    assert RootedGraph(_written(chain)) == expected
 
 
 def nest_attach(expr, depth: int):
@@ -392,13 +412,14 @@ def test_an_attach_chain_over_one_vertex_is_a_path(n):
 def test_an_attach_chain_is_written_once(monkeypatch):
     written = []
 
-    def counting(depth, g):
-        written.append(depth)
-        return chain_rows(depth, g)
+    def counting(g):
+        written.append(len(g))
+        return _written(g)
 
-    monkeypatch.setattr(transmit.builders, "chain_rows", counting)
-    assert build_expr(nest_attach(Path(2), 400)) == build_expr(Path(402))
-    assert written == [400]
+    monkeypatch.setattr(transmit.builders, "_written", counting)
+    chain = build_expr(nest_attach(Path(2), 400))
+    assert written == [402]
+    assert chain == build_expr(Path(402))
 
 
 @st.composite
@@ -422,6 +443,112 @@ def nested_chains(draw):
 @given(nested_chains().filter(lambda e: estimated_size(e) <= 600))
 def test_nested_attach_chains_match_the_edge_list_reference(expr):
     assert build_expr(expr) == reference_build(expr)
+
+
+def small_parts() -> st.SearchStrategy:
+    """Primitives of at most 8 vertices, some under an attach."""
+    small = primitives().filter(lambda e: estimated_size(e) <= 8)
+    return st.one_of(small, st.builds(Attach, small))
+
+
+@st.composite
+def nested_and_flat_wedges(draw):
+    """A wedge of 1..6 parts, and the same parts with runs of them bracketed
+    into inner wedges, to any depth, in their order."""
+    parts = draw(st.lists(small_parts(), min_size=1, max_size=6))
+    nest = list(parts)
+    for _ in range(draw(st.integers(1, 5))):
+        i = draw(st.integers(0, len(nest) - 1))
+        j = draw(st.integers(i + 1, len(nest)))
+        nest[i:j] = [Wedge(tuple(nest[i:j]))]
+    return Wedge(tuple(nest)), Wedge(tuple(parts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_and_flat_wedges())
+def test_a_nested_wedge_has_the_rows_of_the_flat_one(wedges):
+    nested, flat = wedges
+    assert build_expr(nested) == build_expr(flat)
+
+
+def test_a_nested_wedge_example():
+    nested = build_expr(parse("wedge(wedge(cycle(5),star(3)),attach(path(3)))"))
+    assert nested == build_expr(parse("wedge(cycle(5),star(3),attach(path(3)))"))
+
+
+@st.composite
+def alternating_nests(draw):
+    """Wedge and attach levels in turn over a small base. The other wedge
+    parts are small primitives or products, and between two runs of levels,
+    and above the last, there may be a rooted product or a power."""
+    small = primitives().filter(lambda e: estimated_size(e) <= 5)
+    inner = st.one_of(small, st.builds(RootedProduct, small, small), st.builds(Power, small, st.just(2)))
+    expr = draw(inner)
+    for run in range(draw(st.integers(1, 2))):
+        first = draw(st.integers(0, 1))
+        for level in range(draw(st.integers(1, 6))):
+            if level % 2 == first:
+                expr = Attach(expr)
+            else:
+                others = draw(st.lists(inner, min_size=1, max_size=2))
+                i = draw(st.integers(0, len(others)))
+                expr = Wedge((*others[:i], expr, *others[i:]))
+        where = draw(st.sampled_from(["none", "rprod left", "rprod right", "power"]))
+        if where == "power" and estimated_size(expr) ** 2 <= 600:
+            expr = Power(expr, 2)
+        elif where.startswith("rprod"):
+            other = draw(primitives().filter(lambda e: estimated_size(e) <= 4))
+            expr = RootedProduct(expr, other) if where == "rprod left" else RootedProduct(other, expr)
+    return expr
+
+
+@settings(max_examples=150, deadline=None)
+@given(alternating_nests().filter(lambda e: estimated_size(e) <= 600))
+def test_alternating_nests_match_the_edge_list_reference(expr):
+    assert build_expr(expr) == reference_build(expr)
+
+
+def alternating_nest(levels: int):
+    """wedge(attach(...), path(2)), ``levels`` deep, over complete(1)."""
+    expr = Complete(1)
+    for _ in range(levels):
+        expr = Wedge((Attach(expr), Path(2)))
+    return expr
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        alternating_nest(1000),
+        parse("wedge(" * 2999 + "cycle(3)" + ",cycle(3))" * 2999),
+        parse("wedge(attach(wedge(attach(path(2)),star(2))),cycle(3))"),
+        Attach(Wedge((Wedge((Star(2), Attach(Attach(Cycle(4))))), Tree(2, 2), Wedge((Path(3),))))),
+    ],
+    ids=["alternating nest", "left-nested wedge", "mixed nest", "wedges and a chain"],
+)
+def test_a_nest_with_no_product_above_is_written_in_one_pass(monkeypatch, expr):
+    written = []
+
+    def counting(g):
+        written.append(len(g))
+        return _written(g)
+
+    monkeypatch.setattr(transmit.builders, "_written", counting)
+    g = build_expr(expr)
+    assert written == [g.vertex_count]
+
+
+def test_a_nest_of_a_hundred_thousand_levels_is_written():
+    # alternating_nest(k), glued as build_expr's fold glues it, is a
+    # caterpillar: spine vertex i < k is joined to i + 1 and to the leaf
+    # V - 1 - i. The writer keeps an explicit stack, so no level recurses.
+    k = 100_000
+    n = 2 * k + 1
+    g = complete_graph(1)
+    for _ in range(k):
+        g = wedge_graphs([attach_root(g), path_graph(2)])
+    expected = graph_from_edges(n, [(i, j) for i in range(k) for j in (i + 1, n - 1 - i)])
+    assert RootedGraph(_written(g)) == expected
 
 
 @settings(max_examples=100, deadline=None)

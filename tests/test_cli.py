@@ -621,6 +621,23 @@ def test_redirected_streams_are_not_kept_alive():
     assert [ref() for ref in refs] == [None] * len(refs)
 
 
+def test_a_closed_stdout_exits_1_with_one_error_line():
+    # 20000 rows are far more than a pipe holds, so the CLI is still writing
+    # when the reader closes its end after the first line
+    with subprocess.Popen(
+        [sys.executable, "-m", "transmit", "hist", "path(20000)"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        assert proc.stdout.readline() == "distance  pairs\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=60)
+    assert "Traceback" not in err
+    assert (status, err) == (1, "error: stdout was closed before all output was written\n")
+
+
 def test_module_entry_point_runs_in_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "transmit", "eval", "tree(2,2)", "--format", "csv"],
