@@ -7,7 +7,7 @@ Their exact agreement is the package's correctness argument.
 """
 
 from .builders import DEFAULT_VERTEX_CAP, build_expr
-from .dsl import estimated_size, parse, render, validate
+from .dsl import estimated_size, parse, render
 from .errors import (
     ConnectivityError,
     InexactDivisionError,
@@ -49,6 +49,5 @@ __all__ = [
     "render",
     "root_transmission",
     "summarize",
-    "validate",
     "__version__",
 ]

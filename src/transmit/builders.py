@@ -166,11 +166,11 @@ def power_graph(g: tuple | Glued, k: int) -> tuple:
 def build_expr(expr: TopologyExpr, max_vertices: int = DEFAULT_VERTEX_CAP) -> RootedGraph:
     """Materialize an expression, bottom-up, as one validated graph.
 
-    The exact size is computed up front, which validates the expression,
-    so an oversized expression fails fast with the estimate attached. This
-    is the package's only vertex cap: sizes only grow towards the root, so
-    no intermediate graph is larger than the final one. The oracle measures only graphs built
-    here, and only the final one is validated. Each node is built by the
+    The exact size is computed up front, so an oversized expression fails
+    fast with the estimate attached. This is the package's only vertex cap:
+    sizes only grow towards the root, so no intermediate graph is larger
+    than the final one. The oracle measures only graphs built here, and
+    only the final graph is validated. Each node is built by the
     builder its :data:`~transmit.dsl.SPECS` row names.
     """
     size = dsl.estimated_size(expr)

@@ -4,7 +4,7 @@ Exit codes: 0 success (and verify pass), 1 usage/parse/validation error,
 2 verification mismatch, 3 resource limit (the vertex cap, or a series'
 terms, or its terms times its arity's bits). Diagnostics go to stderr, data
 to stdout, and output is byte-identical across runs for the same input. A
-stdout closed before all output is written exits 1 with one ``error:`` line.
+stdout that refuses a write, closed or full, exits 1 with one ``error:`` line.
 
 Each command is one :class:`Command` row of :data:`COMMANDS`: its name,
 callback, positional argument, options and help line. The row drives both
@@ -522,9 +522,12 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, TransmitError) as exc:  # usage, parse and validation errors
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:  # the rest goes to the null device, so the flush at exit cannot fail again
+    except OSError as exc:  # only stdout is written to, so it refused a write
+        # the rest goes to the null device, so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout was closed before all output was written", file=sys.stderr)
+        closed = isinstance(exc, BrokenPipeError)
+        reason = "was closed before all output was written" if closed else f"refused a write: {exc.strerror or exc}"
+        print(f"error: stdout {reason}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         sys.stderr.write("\naborted\n")

@@ -1,5 +1,5 @@
-"""Topology description language: expression nodes, their table, parser,
-validation and the one traversal every engine uses.
+"""Topology description language: expression nodes, their table, parser
+and the one traversal every engine uses.
 
 Grammar (ASCII whitespace permitted around tokens, input is a single expression):
 
@@ -15,9 +15,10 @@ Each node type is described once, by its row in :data:`SPECS`: its
 keyword, its argument schema (field name, kind, minimum, noun), its size
 rule and the names of its closed form in :mod:`transmit.formulas` and its
 builder in :mod:`transmit.builders`. The node classes are frozen
-dataclasses made from those rows, one field per argument. The parser,
-:func:`validate`, :func:`render` and :func:`estimated_size` are driven by
-that table. :func:`fold` is the bottom-up traversal that :func:`render`,
+dataclasses made from those rows, one field per argument, that refuse a
+field out of range when made, so no other code checks one. The parser,
+:func:`render` and :func:`estimated_size` are driven by that table.
+:func:`fold` is the bottom-up traversal that :func:`render`,
 :func:`estimated_size` and both engines share. Nothing here recurses, so
 nesting depth is bounded by memory alone.
 """
@@ -30,7 +31,7 @@ import re
 import sys
 from dataclasses import dataclass, make_dataclass
 from functools import partial
-from typing import Any, Callable, Union
+from typing import Any, Callable, Iterable, Union
 
 from .errors import TopologyParseError, ValidationError, decimal_text
 
@@ -47,7 +48,7 @@ class Arg:
     """One node argument: the node's field named ``field``, in field order.
 
     ``minimum`` bounds every integer an int/ints argument holds; ``noun``
-    names the argument in violation messages (an expr argument has none).
+    names the argument in fault messages (an expr argument has none).
     """
 
     field: str
@@ -80,17 +81,43 @@ class Spec:
 SPECS: dict[type, Spec] = {}
 
 
+def _faults(spec: Spec, values: Iterable) -> list[str]:
+    """The range faults of one node's field values, in field order: each
+    integer below its argument's minimum, and a variadic field left empty."""
+    faults = []
+    for arg, value in zip(spec.args, values):
+        if arg.kind == INT:
+            if value < arg.minimum:
+                faults.append(f"{spec.keyword} {arg.noun} must be >= {arg.minimum}")
+        elif arg.kind in _VARIADIC:
+            if not value:
+                faults.append(f"{spec.keyword} needs at least one {arg.noun}")
+            if arg.kind == INTS:
+                for i, item in enumerate(value):
+                    if item < arg.minimum:
+                        faults.append(f"{spec.keyword} {arg.noun} {i} must be >= {arg.minimum}")
+    return faults
+
+
+def _check(node: Any) -> None:
+    """The ``__post_init__`` of every node with an int or variadic field:
+    refuse the node if a field is out of range. A node's ``__dict__`` holds
+    its fields in field order, as ``__init__`` set them."""
+    faults = _faults(SPECS[type(node)], vars(node).values())
+    if faults:
+        raise ValidationError("; ".join(f"$: {fault}" for fault in faults))
+
+
 def _node(name: str, keyword: str, args: tuple[Arg, ...], size: Callable[..., int], triple: str, graph: str,
           doc: str | None = None) -> type:
     """Make the frozen dataclass of one node type, with one field per
-    argument, and enter its row in :data:`SPECS`."""
-    cls = make_dataclass(
-        name,
-        [(arg.field, _ANNOTATIONS[arg.kind]) for arg in args],
-        frozen=True,
-        # the module lets pickle find the class by its public name
-        namespace={"__module__": __name__, "__doc__": doc},
-    )
+    argument, and enter its row in :data:`SPECS`. A node with a field out of
+    range raises :class:`ValidationError` when made, its faults tagged ``$``."""
+    # the module lets pickle find the class by its public name
+    namespace = {"__module__": __name__, "__doc__": doc}
+    if any(arg.kind != EXPR for arg in args):  # else there is nothing to check
+        namespace["__post_init__"] = _check
+    cls = make_dataclass(name, [(arg.field, _ANNOTATIONS[arg.kind]) for arg in args], frozen=True, namespace=namespace)
     SPECS[cls] = Spec(keyword, args, size, triple, graph)
     return cls
 
@@ -263,20 +290,39 @@ class _Scanner:
         return entry
 
 
-def parse(text: str) -> TopologyExpr:
-    """Parse topology text; raises TopologyParseError with a 1-based offset.
+def _path_text(stack: list) -> str:
+    """The path of the node being read, spelled from the nodes that enclose
+    it on the parse stack: ``$``, then the field of each that holds the next."""
+    steps = []
+    for _, args, values, _ in stack:
+        last = len(args) - 1
+        arg = args[min(len(values), last)]
+        steps.append(f".{arg.field}[{len(values) - last}]" if arg.kind == EXPRS else f".{arg.field}")
+    return "$" + "".join(steps)
 
-    The result is structurally well formed but parameter ranges are not yet
-    checked; run :func:`validate` before building or evaluating.
+
+def parse(text: str) -> TopologyExpr:
+    """Parse topology text into its node.
+
+    Raises TopologyParseError with a 1-based offset for text that is no
+    expression. Raises ValidationError for an expression with a field out of
+    range, naming every fault and tagging each with its node's path, such as
+    ``$.children[1].base``: the nodes in pre-order, a node's faults in field
+    order, all joined by ``"; "``.
     """
     scan = _Scanner(text)
-    # The node being read is (cls, args, values): its class, its schema and
-    # the argument values so far, a variadic argument's items flattened at
-    # the end. Its enclosing nodes wait on the stack in the same form.
-    stack: list[tuple[type, tuple[Arg, ...], list]] = []
+    # The node being read is (cls, args, values, index): its class, its
+    # schema, the argument values so far, a variadic argument's items
+    # flattened at the end, and its place in pre-order. Its enclosing nodes
+    # wait on the stack in the same form.
+    stack: list[tuple[type, tuple[Arg, ...], list, int]] = []
+    # Nodes are made until one has a fault. From then on the text is only
+    # read, and each node's faults are kept as (index, path, faults).
+    faults = None
     cls, args = scan.node_class()
     scan.expect("(")
     values: list = []
+    index = count = 0
     while True:
         n = len(values)
         if n < len(args):
@@ -289,93 +335,44 @@ def parse(text: str) -> TopologyExpr:
             scan.expect(")")
             last = len(args) - 1
             if args[last].kind in _VARIADIC:
-                node = cls(*values[:last], tuple(values[last:]))
-            else:
-                node = cls(*values)
+                values[last:] = [tuple(values[last:])]
+            if faults is None:
+                try:
+                    node = cls(*values)
+                except ValidationError:
+                    faults = []
+            if faults is not None:
+                node = None
+                own = _faults(SPECS[cls], values)
+                if own:
+                    faults.append((index, _path_text(stack), own))
             if not stack:
                 break
-            cls, args, values = stack.pop()
+            cls, args, values, index = stack.pop()
             values.append(node)
             continue
         if kind in (INT, INTS):
             values.append(scan.integer())
         else:
-            stack.append((cls, args, values))
+            stack.append((cls, args, values, index))
             cls, args = scan.node_class()
             scan.expect("(")
             values = []
+            index = count = count + 1
     scan.skip_ws()
     if scan.pos != len(text):
         raise scan.error("end of input")
+    if faults:
+        faults.sort()  # into pre-order; no two nodes share an index
+        raise ValidationError("; ".join(f"{path}: {fault}" for _, path, own in faults for fault in own))
     return node
-
-
-def _path_text(path: tuple | None) -> str:
-    steps = []
-    while path is not None:
-        path, field, index = path
-        steps.append(f".{field}" if index is None else f".{field}[{index}]")
-    return "$" + "".join(reversed(steps))
-
-
-def validate(expr: TopologyExpr) -> list[str]:
-    """Collect every parameter-range violation, each tagged with a node path.
-
-    Returns an empty list when the expression is valid; raises only for an
-    object that is not an expression node. Nodes are visited pre-order;
-    each carries its path as a ``(parent path, field, index)`` link that is
-    spelled out only for a violation.
-    """
-    violations: list[str] = []
-    stack: list = [(expr, None)]
-    while stack:
-        node, path = stack.pop()
-        try:
-            spec = SPECS[type(node)]
-        except KeyError:
-            raise _unknown(node) from None
-        children = []
-        for arg in spec.args:
-            value = getattr(node, arg.field)
-            if arg.kind == EXPR:
-                children.append((value, (path, arg.field, None)))
-            elif arg.kind == INT:
-                if value < arg.minimum:
-                    violations.append(
-                        f"{_path_text(path)}: {spec.keyword} {arg.noun} must be >= {arg.minimum}"
-                    )
-            else:
-                if not value:
-                    violations.append(f"{_path_text(path)}: {spec.keyword} needs at least one {arg.noun}")
-                if arg.kind == EXPRS:
-                    children.extend((child, (path, arg.field, i)) for i, child in enumerate(value))
-                else:
-                    for i, item in enumerate(value):
-                        if item < arg.minimum:
-                            violations.append(
-                                f"{_path_text(path)}: {spec.keyword} {arg.noun} {i} must be >= {arg.minimum}"
-                            )
-        stack.extend(reversed(children))
-    return violations
-
-
-def require_valid(expr: TopologyExpr) -> None:
-    """Raise ValidationError listing every violation, if any."""
-    violations = validate(expr)
-    if violations:
-        raise ValidationError("; ".join(violations))
 
 
 _SIZE_OPS = {cls: spec.size for cls, spec in SPECS.items()}
 
 
 def estimated_size(expr: TopologyExpr) -> int:
-    """Exact vertex count of the built graph, without building it.
-
-    Raises ValidationError, as :func:`require_valid` does, for an expression
-    no graph is built from.
-    """
-    require_valid(expr)
+    """Exact vertex count of the built graph, without building it."""
     return fold(expr, _SIZE_OPS)
 
 
@@ -394,7 +391,7 @@ _RENDER_OPS = {cls: partial(_render_node, spec.keyword) for cls, spec in SPECS.i
 
 def render(expr: TopologyExpr) -> str:
     """Canonical text form. ``parse(render(e))`` reproduces ``e`` when every
-    integer in ``e`` is one the parser accepts: nonnegative, with at most
-    ``sys.get_int_max_str_digits()`` digits. Other integers, which only a
-    node built in Python can hold, are written in full all the same."""
+    integer in ``e`` has at most ``sys.get_int_max_str_digits()`` digits.
+    A longer one, which only a node built in Python can hold, is written in
+    full all the same."""
     return fold(expr, _RENDER_OPS)

@@ -225,7 +225,6 @@ def gf_series(arity: int, terms: int) -> SeriesTerms:
 
 
 def evaluate_expr(expr: TopologyExpr) -> TransmissionTriple:
-    """Bottom-up closed-form evaluation of a validated expression, each node
-    by the closed form its :data:`~transmit.dsl.SPECS` row names."""
-    dsl.require_valid(expr)
+    """Bottom-up closed-form evaluation of an expression, each node by the
+    closed form its :data:`~transmit.dsl.SPECS` row names."""
     return dsl.fold(expr, {cls: globals()[spec.triple] for cls, spec in dsl.SPECS.items()})

@@ -112,7 +112,6 @@ def random_expressions(
     out: list[TopologyExpr] = []
     while len(out) < count:
         expr = _random_expr(rng, max_depth)
-        assert not dsl.validate(expr)
         if size_bound is not None and dsl.estimated_size(expr) > size_bound:
             continue
         out.append(expr)

@@ -34,3 +34,61 @@ def expressions() -> st.SearchStrategy:
 def buildable_expressions(size_bound: int = 60) -> st.SearchStrategy:
     """Expressions whose materialized graph stays small enough for BFS work."""
     return expressions().filter(lambda e: dsl.estimated_size(e) <= size_bound)
+
+
+# Each keyword's arguments in field order, written out apart from the node
+# table: ("int", noun, minimum), ("ints", noun, minimum), ("expr", field) or
+# ("exprs", field).
+GRAMMAR = {
+    "complete": [("int", "size", 1)],
+    "cycle": [("int", "size", 3)],
+    "star": [("int", "leaf count", 1)],
+    "path": [("int", "size", 1)],
+    "mesh": [("ints", "dimension", 1)],
+    "tree": [("int", "arity", 1), ("int", "depth", 0)],
+    "wedge": [("exprs", "children")],
+    "rprod": [("expr", "left"), ("expr", "right")],
+    "power": [("expr", "base"), ("int", "exponent", 1)],
+    "attach": [("expr", "child")],
+}
+PRIMITIVES = [keyword for keyword, args in GRAMMAR.items() if all(arg[0].startswith("int") for arg in args)]
+
+
+@st.composite
+def texts_with_faults(draw, top: int = 4, depth: int = 3):
+    """The text of a random nesting of every keyword, with literals 0 to
+    ``top``, and the faults ``parse`` names for it, in its order.
+
+    The faults are noted as the text is drawn, in pre-order: each node's
+    integers are drawn, and their faults noted in field order, before any of
+    its sub-expressions. Each fault is tagged with its node's path.
+    """
+    faults = []
+
+    def node(path: str, depth: int) -> str:
+        keyword = draw(st.sampled_from(list(GRAMMAR) if depth else PRIMITIVES))
+        texts = {}
+        for kind, name, *minimum in GRAMMAR[keyword]:
+            if kind == "int":
+                value = draw(st.integers(0, top))
+                if value < minimum[0]:
+                    faults.append(f"{path}: {keyword} {name} must be >= {minimum[0]}")
+                texts[name] = str(value)
+            elif kind == "ints":
+                values = draw(st.lists(st.integers(0, top), min_size=1, max_size=3))
+                faults.extend(
+                    f"{path}: {keyword} {name} {i} must be >= {minimum[0]}"
+                    for i, value in enumerate(values)
+                    if value < minimum[0]
+                )
+                texts[name] = ",".join(map(str, values))
+        for kind, name, *_ in GRAMMAR[keyword]:
+            if kind == "expr":
+                texts[name] = node(f"{path}.{name}", depth - 1)
+            elif kind == "exprs":
+                count = draw(st.integers(1, 3))
+                texts[name] = ",".join(node(f"{path}.{name}[{i}]", depth - 1) for i in range(count))
+        return f"{keyword}({','.join(texts[arg[1]] for arg in GRAMMAR[keyword])})"
+
+    text = node("$", depth)
+    return text, faults

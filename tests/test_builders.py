@@ -105,10 +105,13 @@ class TestPrimitives:
         assert edges(g) == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
     def test_parameter_minimums(self):
-        # the minimums live in the node table and are enforced by build_expr
-        for bad in (Complete(0), Cycle(2), Star(0), Path(0), Mesh((2, 0)), Tree(0, 2)):
+        # the minimums live in the node table, and a node below one is refused
+        # when made, so no builder is ever handed one
+        for cls, field in ((Complete, 0), (Cycle, 2), (Star, 0), (Path, 0), (Mesh, (2, 0))):
             with pytest.raises(ValidationError):
-                build_expr(bad)
+                cls(field)
+        with pytest.raises(ValidationError):
+            Tree(0, 2)
 
     def test_size_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -139,7 +142,7 @@ class TestWedge:
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            build_expr(Wedge(()))
+            Wedge(())
 
 
 class TestCartesianProduct:

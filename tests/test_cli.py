@@ -7,6 +7,7 @@ import decimal
 import gc
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -23,12 +24,12 @@ import transmit.cli
 import transmit.dsl
 import transmit.errors
 import transmit.formulas
-from transmit.cli import main
-from transmit.dsl import SPECS, render
+from transmit.cli import COMMANDS, main
+from transmit.dsl import SPECS, estimated_size, parse, render
 from transmit.errors import decimal_text
 from transmit.formulas import TransmissionTriple, path_triple
 
-from expr_strategies import expressions
+from expr_strategies import expressions, texts_with_faults
 from recurrences import power_coefficients, tree_recurrence
 
 
@@ -393,14 +394,28 @@ class TestVerify:
         assert out.endswith("MISMATCH\n")
 
 
-@pytest.mark.parametrize("argv, calls", [(["verify", "cycle(7)"], 2), (["hist", "cycle(7)"], 1), (["eval", "cycle(7)"], 1)])
-def test_each_engine_validates_once(capsys, monkeypatch, argv, calls):
-    # the closed form validates in evaluate_expr, the oracle in estimated_size
-    counted = []
-    validate = transmit.dsl.validate
-    monkeypatch.setattr(transmit.dsl, "validate", lambda expr: counted.append(expr) or validate(expr))
-    assert run(capsys, *argv)[0] == 0
-    assert len(counted) == calls
+@pytest.mark.parametrize("text, nodes", [("cycle(7)", 1), ("wedge(cycle(7),power(path(2),3))", 4)])
+@pytest.mark.parametrize("command", ["verify", "hist", "eval"])
+def test_the_range_check_runs_once_per_node_inside_parse(capsys, monkeypatch, command, text, nodes):
+    # each node checks its fields as parse makes it, and no engine checks them again
+    inside, checked = [], []
+    real_faults, real_parse = transmit.dsl._faults, transmit.cli.parse
+
+    def counting(spec, values):
+        checked.append(bool(inside))
+        return real_faults(spec, values)
+
+    def parsing(text):
+        inside.append(text)
+        try:
+            return real_parse(text)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(transmit.dsl, "_faults", counting)
+    monkeypatch.setattr(transmit.cli, "parse", parsing)
+    assert run(capsys, command, text)[0] == 0
+    assert checked == [True] * nodes
 
 
 class TestCompare:
@@ -594,6 +609,12 @@ USAGE_ERRORS = [
         "in expression '-5': parse error at offset 1: expected a topology keyword, found '-'",
     ),
     (("eval", "path(2)", "--rate", "1", "--time", "-1e3"), "No such option '-1e3'."),
+    # the = form, as README spells a negative value
+    (("eval", "path(2)", "--rate", "1", "--time=-1e3"), "--time must be nonnegative, got -1e3"),
+    (("eval", "path(2)", "--format=csv", "-5"), "Got unexpected extra argument (-5)"),
+    (("eval", "path(2)", "--rate", "-1", "--time", "1"), "--rate must be nonnegative, got -1"),
+    (("--help=1",), "argument --help: ignored explicit argument '1'"),
+    (("eval", "path(2)", "--rat", "1"), "No such option '--rat'. (Did you mean one of: '--rate', '--format'?)"),
 ]
 
 
@@ -636,6 +657,16 @@ def test_a_closed_stdout_exits_1_with_one_error_line():
         status = proc.wait(timeout=60)
     assert "Traceback" not in err
     assert (status, err) == (1, "error: stdout was closed before all output was written\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_full_stdout_exits_1_with_one_error_line():
+    # every write to /dev/full fails with ENOSPC, here at the flush in main
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "transmit", "verify", "path(3)"], stdout=full, stderr=subprocess.PIPE, text=True
+        )
+    assert (result.returncode, result.stderr) == (1, "error: stdout refused a write: No space left on device\n")
 
 
 def test_module_entry_point_runs_in_subprocess():
@@ -683,3 +714,66 @@ def test_eval_fuzz_exits_with_a_documented_code(text):
         code = main(["eval", text])
     assert code in (0, 1, 3)
     assert "Traceback" not in err.getvalue()
+
+
+def oracle_is_quick(text: str) -> bool:
+    """Whether the oracle refuses or counts ``text`` at once: it does not
+    parse, or its graph has at most 300 vertices or more than the default
+    vertex cap. In between, a graph that is no tree can take seconds to
+    count (ROADMAP item 2)."""
+    try:
+        size = estimated_size(parse(text))
+    except transmit.errors.TransmitError:
+        return True
+    return size <= 300 or size > transmit.cli.DEFAULT_VERTEX_CAP
+
+
+OVERLONG = "1" * 5000  # past the digit limit wherever it stands
+FLAGS = sorted({option.flag for command in COMMANDS.values() for option in command.options} | {"--help", "--version"})
+OPTIONS = {option.flag: option for command in COMMANDS.values() for option in command.options}
+EXPRESSIONS = st.one_of(
+    texts_with_faults(top=20, depth=2).map(lambda drawn: drawn[0]),
+    st.sampled_from(["path(" + OVERLONG + ")", "power(complete(2)," + OVERLONG + ")", "-5", "-", "--"]),
+).filter(oracle_is_quick)
+
+
+def values(flag: str) -> st.SearchStrategy:
+    """Texts for ``flag``: mostly of its type, and some of any type."""
+    option = OPTIONS.get(flag)
+    if option is None:
+        typed = st.nothing()
+    elif option.choices:
+        typed = st.sampled_from(option.choices)
+    elif option.integer:
+        typed = st.integers(-2, 20).map(str)
+    else:
+        typed = st.sampled_from(["0", "0.5", "2", "1e-3", "-1e3", "-.5", "1/3"])
+    return st.one_of(typed, typed, st.sampled_from(["x", "-1", "xml", OVERLONG]))
+
+
+@st.composite
+def argv_lists(draw):
+    """A command, or a group option or an unknown command, then expressions
+    and options in any order: each option alone, before its value or joined
+    to it by ``=``, mostly one of the command's own."""
+    command = draw(st.sampled_from([*COMMANDS, "bogus", "--help", "--version"]))
+    own = [option.flag for option in COMMANDS[command].options] if command in COMMANDS else []
+    count = draw(st.sampled_from([1, 1, 1, 0, 2, 3]))
+    groups = [[text] for text in draw(st.lists(EXPRESSIONS, min_size=count, max_size=count))]
+    flags = st.sampled_from(own or FLAGS)
+    for flag in draw(st.lists(st.one_of(flags, flags, flags, st.sampled_from(FLAGS)), max_size=3)):
+        value = draw(values(flag))
+        groups.append(draw(st.sampled_from([[flag, value], [f"{flag}={value}"], [flag]])))
+    return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv_lists())
+def test_every_command_exits_with_a_documented_code(argv):
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (1, 3):
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert err.getvalue().endswith("\n")

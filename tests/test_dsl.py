@@ -1,4 +1,4 @@
-"""Topology language: parsing, validation, size estimation, round trips."""
+"""Topology language: parsing, range checks, size estimation, round trips."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings
 
+import transmit.dsl
 from transmit import builders, formulas
 from transmit.dsl import (
     SPECS,
@@ -27,12 +28,19 @@ from transmit.dsl import (
     fold,
     parse,
     render,
-    validate,
 )
+from transmit.builders import build_expr
 from transmit.errors import TopologyParseError, ValidationError
 from transmit.formulas import evaluate_expr
 
-from expr_strategies import expressions
+from expr_strategies import expressions, texts_with_faults
+
+
+def refusal(make) -> str:
+    """The message of the ValidationError ``make()`` raises."""
+    with pytest.raises(ValidationError) as info:
+        make()
+    return str(info.value)
 
 
 class TestParse:
@@ -130,26 +138,44 @@ class TestParse:
 
 
 class TestValidate:
+    """A node refuses a field out of range when it is made, and parse names
+    every fault of its text, each at its node's path."""
+
     def test_valid_expressions(self):
-        assert validate(parse("tree(1,5)")) == []
-        assert validate(parse("wedge(complete(1),star(1))")) == []
+        assert parse("tree(1,5)") == Tree(1, 5)
+        assert parse("wedge(complete(1),star(1))") == Wedge((Complete(1), Star(1)))
 
     def test_cycle_too_small(self):
-        assert validate(Cycle(2)) == ["$: cycle size must be >= 3"]
+        assert refusal(partial(Cycle, 2)) == "$: cycle size must be >= 3"
+        assert refusal(partial(dataclasses.replace, Cycle(3), n=2)) == "$: cycle size must be >= 3"
 
     def test_power_exponent(self):
-        assert validate(Power(Complete(3), 0)) == ["$: power exponent must be >= 1"]
+        assert refusal(partial(Power, Complete(3), 0)) == "$: power exponent must be >= 1"
 
     def test_paths_locate_nested_violations(self):
-        expr = Wedge((Complete(0), Power(Cycle(2), 0)))
-        assert validate(expr) == [
-            "$.children[0]: complete size must be >= 1",
-            "$.children[1]: power exponent must be >= 1",
-            "$.children[1].base: cycle size must be >= 3",
-        ]
+        assert refusal(partial(parse, "wedge(complete(0),power(cycle(2),0))")) == (
+            "$.children[0]: complete size must be >= 1; "
+            "$.children[1]: power exponent must be >= 1; "
+            "$.children[1].base: cycle size must be >= 3"
+        )
 
     def test_mesh_dimension_checked(self):
-        assert validate(Mesh((2, 0, 3))) == ["$: mesh dimension 1 must be >= 1"]
+        assert refusal(partial(Mesh, (2, 0, 3))) == "$: mesh dimension 1 must be >= 1"
+        assert refusal(partial(Mesh, (0, 0))) == "$: mesh dimension 0 must be >= 1; $: mesh dimension 1 must be >= 1"
+
+    def test_a_parse_error_comes_before_any_fault(self):
+        with pytest.raises(TopologyParseError):
+            parse("wedge(cycle(2),path(0)) x")
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts_with_faults())
+def test_parse_names_every_fault_in_pre_order(drawn):
+    text, faults = drawn
+    if faults:
+        assert refusal(partial(parse, text)) == "; ".join(faults)
+    else:
+        assert render(parse(text)) == text
 
 
 class TestDeepNesting:
@@ -159,12 +185,24 @@ class TestDeepNesting:
         text = "attach(" * self.DEPTH + "path(2)" + ")" * self.DEPTH
         expr = parse(text)
         assert estimated_size(expr) == self.DEPTH + 2
-        assert validate(expr) == []
         assert render(expr) == text
 
     def test_violation_path_is_spelled_out_in_full(self):
-        expr = parse("attach(" * 3000 + "cycle(2)" + ")" * 3000)
-        assert validate(expr) == ["$" + ".child" * 3000 + ": cycle size must be >= 3"]
+        text = "attach(" * 3000 + "cycle(2)" + ")" * 3000
+        assert refusal(partial(parse, text)) == "$" + ".child" * 3000 + ": cycle size must be >= 3"
+
+    def test_only_a_node_with_a_fault_has_its_path_spelled(self, monkeypatch):
+        # spelling the path of every node read after the first fault would
+        # make a deep nest quadratic
+        spelled = []
+        path_text = transmit.dsl._path_text
+        monkeypatch.setattr(transmit.dsl, "_path_text", lambda stack: spelled.append(len(stack)) or path_text(stack))
+        text = "attach(" * self.DEPTH + "wedge(cycle(2),path(2),star(0))" + ")" * self.DEPTH
+        assert refusal(partial(parse, text)) == (
+            f"{'$' + '.child' * self.DEPTH}.children[0]: cycle size must be >= 3; "
+            f"{'$' + '.child' * self.DEPTH}.children[2]: star leaf count must be >= 1"
+        )
+        assert spelled == [self.DEPTH + 1] * 2
 
     def test_fold_visits_children_first_in_field_order(self):
         expr = parse("rprod(wedge(star(1),path(2)),power(cycle(3),2))")
@@ -202,17 +240,14 @@ class TestEstimatedSize:
     @pytest.mark.parametrize(
         "expr, message",
         [
-            (Power(Complete(3), -1), "$: power exponent must be >= 1"),
-            (Complete(-4), "$: complete size must be >= 1"),
-            (Wedge(()), "$: wedge needs at least one child"),
+            (partial(Power, Complete(3), -1), "$: power exponent must be >= 1"),
+            (partial(Complete, -4), "$: complete size must be >= 1"),
+            (partial(Wedge, ()), "$: wedge needs at least one child"),
         ],
     )
     def test_invalid_expression_is_refused(self, expr, message):
-        # without validation these fold to 1/3, -4 and 1, sizes no graph has
-        assert validate(expr) == [message]
-        with pytest.raises(ValidationError) as info:
-            estimated_size(expr)
-        assert str(info.value) == message
+        # these would fold to 1/3, -4 and 1, sizes no graph has, so no such node is made
+        assert refusal(expr) == message
 
 
 # One node of each class, for the checks that go row by row through SPECS.
@@ -264,7 +299,7 @@ def test_node_repr_names_every_field():
     )
 
 
-@pytest.mark.parametrize("function", [validate, estimated_size, render, evaluate_expr])
+@pytest.mark.parametrize("function", [build_expr, estimated_size, render, evaluate_expr])
 @pytest.mark.parametrize("expr", [42, Wedge((Path(2), 42))], ids=["bare", "nested"])
 def test_a_non_node_is_refused(function, expr):
     with pytest.raises(ValidationError, match=r"^unknown expression node 42$"):

@@ -61,6 +61,7 @@ HUGE, HUGE_TEXT = 10**5000 + 1, "1" + "0" * 4999 + "1"
         (lambda: exact_div(HUGE, 10), InexactDivisionError, f"{HUGE_TEXT} is not divisible by 10"),
         (lambda: exact_div(7, HUGE), InexactDivisionError, f"7 is not divisible by {HUGE_TEXT}"),
         (lambda: TransmissionTriple(-HUGE, 0, 0), ValidationError, f"size must be >= 1, got -{HUGE_TEXT}"),
+        (lambda: TransmissionTriple(3, -HUGE, 0), ValidationError, "transmissions must be nonnegative"),
         (lambda: TransmissionTriple(3, HUGE, 1), ValidationError, f"delta must be even, got {HUGE_TEXT}"),
         (
             lambda: TransmissionTriple(HUGE, 2, 1),
@@ -83,7 +84,7 @@ HUGE, HUGE_TEXT = 10**5000 + 1, "1" + "0" * 4999 + "1"
             f"leading term must be 2*arity^2 = 8, got {HUGE_TEXT}",
         ),
     ],
-    ids=["numerator", "denominator", "size", "odd-delta", "pair-floor", "half-delta", "root-floor", "series"],
+    ids=["numerator", "denominator", "size", "negative", "odd-delta", "pair-floor", "half-delta", "root-floor", "series"],
 )
 def test_fault_messages_write_integers_past_the_digit_limit(make, error, message):
     with pytest.raises(error) as raised:
@@ -141,10 +142,11 @@ class TestPrimitiveTriples:
             assert mesh_triple((n,)) == path_triple(n)
 
     def test_range_checks(self):
-        # the minimums live in the node table and are enforced by evaluate_expr
-        for bad in (Complete(0), Cycle(2), Star(0), Path(0), Mesh(()), Mesh((2, 0))):
+        # the minimums live in the node table, and a node below one is refused
+        # when made, so no closed form is ever handed one
+        for cls, field in ((Complete, 0), (Cycle, 2), (Star, 0), (Path, 0), (Mesh, ()), (Mesh, (2, 0))):
             with pytest.raises(ValidationError):
-                evaluate_expr(bad)
+                cls(field)
 
 
 class TestWedgeTriple:
@@ -168,7 +170,7 @@ class TestWedgeTriple:
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            evaluate_expr(Wedge(()))
+            Wedge(())
 
 
 class TestAttachRootTriple:
