@@ -1,13 +1,15 @@
 """Topology description language: expression nodes, their table, parser
 and the one traversal every engine uses.
 
-Grammar (ASCII whitespace permitted around tokens, input is a single expression):
+The lexical grammar is the one regex ``_TOKENS``: a token is any ASCII
+whitespace, then a run of ASCII digits (an INT), a run of ASCII lowercase
+letters, any other single character, or the end of the text. A keyword is
+the whole run of ``str.isalpha`` letters. The input is one expression:
 
     expr := "complete(" INT ")" | "cycle(" INT ")" | "star(" INT ")"
           | "path(" INT ")" | "mesh(" INT {"," INT} ")" | "tree(" INT "," INT ")"
           | "wedge(" expr {"," expr} ")" | "rprod(" expr "," expr ")"
           | "power(" expr "," INT ")" | "attach(" expr ")"
-    INT  := [0-9]+        (ASCII digits only)
 
 ``attach`` adds a pendant vertex to the root and re-roots there.
 
@@ -31,7 +33,7 @@ import re
 import sys
 from dataclasses import dataclass, make_dataclass
 from functools import partial
-from typing import Any, Callable, Iterable, Union
+from typing import Any, Callable, Iterable, Iterator, Union
 
 from .errors import TopologyParseError, ValidationError, decimal_text
 
@@ -82,27 +84,34 @@ SPECS: dict[type, Spec] = {}
 
 
 def _faults(spec: Spec, values: Iterable) -> list[str]:
-    """The range faults of one node's field values, in field order: each
-    integer below its argument's minimum, and a variadic field left empty."""
+    """The faults of one node's field values, in field order: an integer
+    that is no ``int`` or is below its argument's minimum, and a variadic
+    field that is no tuple or is empty."""
     faults = []
     for arg, value in zip(spec.args, values):
         if arg.kind == INT:
-            if value < arg.minimum:
+            if type(value) is not int:
+                faults.append(f"{spec.keyword} {arg.noun} must be an int, not {type(value).__name__}")
+            elif value < arg.minimum:
                 faults.append(f"{spec.keyword} {arg.noun} must be >= {arg.minimum}")
         elif arg.kind in _VARIADIC:
-            if not value:
+            if type(value) is not tuple:
+                faults.append(f"{spec.keyword} {arg.field} must be a tuple, not {type(value).__name__}")
+            elif not value:
                 faults.append(f"{spec.keyword} needs at least one {arg.noun}")
-            if arg.kind == INTS:
+            elif arg.kind == INTS:
                 for i, item in enumerate(value):
-                    if item < arg.minimum:
+                    if type(item) is not int:
+                        faults.append(f"{spec.keyword} {arg.noun} {i} must be an int, not {type(item).__name__}")
+                    elif item < arg.minimum:
                         faults.append(f"{spec.keyword} {arg.noun} {i} must be >= {arg.minimum}")
     return faults
 
 
 def _check(node: Any) -> None:
     """The ``__post_init__`` of every node with an int or variadic field:
-    refuse the node if a field is out of range. A node's ``__dict__`` holds
-    its fields in field order, as ``__init__`` set them."""
+    refuse it if a field is of the wrong type or out of range. A node's
+    ``__dict__`` holds its fields in field order, as ``__init__`` set them."""
     faults = _faults(SPECS[type(node)], vars(node).values())
     if faults:
         raise ValidationError("; ".join(f"$: {fault}" for fault in faults))
@@ -225,69 +234,33 @@ def fold(expr: TopologyExpr, ops: dict[type, Callable[..., Any]]) -> Any:
     return results[0]
 
 
-_SPACES = frozenset("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ")  # the ASCII characters str.isspace() accepts
-_DIGITS = re.compile(r"[0-9]+")
+_TOKENS = re.compile(r"[\t-\r\x1c-\x1f ]*(?:([0-9]+)|([a-z]+)|(.)|\Z)", re.DOTALL)
 
 
-class _Scanner:
-    """Token reader over the input text. Offsets in errors are 1-based."""
+def _error(token: re.Match, expected: str) -> TopologyParseError:
+    """The error for ``token`` where ``expected`` was due, at the 1-based
+    offset of its first character after its whitespace."""
+    group = token.lastindex
+    if group is None:
+        return TopologyParseError(token.end() + 1, expected, "end of input")
+    return TopologyParseError(token.start(group) + 1, expected, repr(token[group][0]))
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
 
-    def error(self, expected: str) -> TopologyParseError:
-        if self.pos >= len(self.text):
-            found = "end of input"
-        else:
-            found = repr(self.text[self.pos])
-        return TopologyParseError(self.pos + 1, expected, found)
+def _expect(tokens: Iterator[re.Match], token: re.Match, char: str) -> re.Match:
+    """The token after ``token``, which must be the character ``char``."""
+    if token[3] != char:
+        raise _error(token, f'"{char}"')
+    return next(tokens)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in _SPACES:
-            self.pos += 1
 
-    def accept(self, token: str) -> bool:
-        """Consume ``token`` if it comes next."""
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def expect(self, token: str) -> None:
-        if not self.accept(token):
-            raise self.error(f'"{token}"')
-
-    def integer(self) -> int:
-        self.skip_ws()
-        match = _DIGITS.match(self.text, self.pos)
-        if match is None:
-            raise self.error("an integer")
-        try:
-            value = int(match.group())
-        except ValueError:  # longer than the interpreter converts
-            raise TopologyParseError(
-                self.pos + 1,
-                f"an integer of at most {sys.get_int_max_str_digits()} digits",
-                f"{match.end() - self.pos} digits",
-            ) from None
-        self.pos = match.end()
-        return value
-
-    def node_class(self) -> tuple[type, tuple[Arg, ...]]:
-        """Read a keyword; return its node class and argument schema."""
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("a topology keyword")
-        entry = _CLASSES.get(self.text[start : self.pos])
-        if entry is None:
-            self.pos = start
-            raise self.error("one of " + ", ".join(sorted(_CLASSES)))
-        return entry
+def _keyword(tokens: Iterator[re.Match], token: re.Match) -> tuple[type, tuple[Arg, ...], re.Match]:
+    """The class and schema of the keyword ``token`` and the token after its
+    "(". A keyword is the whole run of letters, so one not all in a-z is unknown."""
+    word = token[2] or token[3] or ""
+    entry = _CLASSES.get(word)
+    if entry is not None and not token.string[token.end() : token.end() + 1].isalpha():
+        return (*entry, _expect(tokens, next(tokens), "("))
+    raise _error(token, "one of " + ", ".join(sorted(_CLASSES)) if word.isalpha() else "a topology keyword")
 
 
 def _path_text(stack: list) -> str:
@@ -310,29 +283,26 @@ def parse(text: str) -> TopologyExpr:
     ``$.children[1].base``: the nodes in pre-order, a node's faults in field
     order, all joined by ``"; "``.
     """
-    scan = _Scanner(text)
+    tokens = _TOKENS.finditer(text)
     # The node being read is (cls, args, values, index): its class, its
     # schema, the argument values so far, a variadic argument's items
     # flattened at the end, and its place in pre-order. Its enclosing nodes
-    # wait on the stack in the same form.
+    # wait on the stack in the same form. ``token`` is the next token unread.
     stack: list[tuple[type, tuple[Arg, ...], list, int]] = []
     # Nodes are made until one has a fault. From then on the text is only
     # read, and each node's faults are kept as (index, path, faults).
     faults = None
-    cls, args = scan.node_class()
-    scan.expect("(")
+    cls, args, token = _keyword(tokens, next(tokens))
     values: list = []
     index = count = 0
     while True:
         n = len(values)
-        if n < len(args):
+        if n < len(args) or (args[-1].kind in _VARIADIC and token[3] == ","):
             if n:
-                scan.expect(",")
-            kind = args[n].kind
-        elif args[-1].kind in _VARIADIC and scan.accept(","):
-            kind = args[-1].kind
+                token = _expect(tokens, token, ",")
+            kind = args[n].kind if n < len(args) else args[-1].kind
         else:
-            scan.expect(")")
+            token = _expect(tokens, token, ")")
             last = len(args) - 1
             if args[last].kind in _VARIADIC:
                 values[last:] = [tuple(values[last:])]
@@ -352,16 +322,21 @@ def parse(text: str) -> TopologyExpr:
             values.append(node)
             continue
         if kind in (INT, INTS):
-            values.append(scan.integer())
+            if token[1] is None:
+                raise _error(token, "an integer")
+            try:
+                values.append(int(token[1]))
+            except ValueError:  # longer than the interpreter converts
+                limit = f"an integer of at most {sys.get_int_max_str_digits()} digits"
+                raise TopologyParseError(token.start(1) + 1, limit, f"{len(token[1])} digits") from None
+            token = next(tokens)
         else:
             stack.append((cls, args, values, index))
-            cls, args = scan.node_class()
-            scan.expect("(")
+            cls, args, token = _keyword(tokens, token)
             values = []
             index = count = count + 1
-    scan.skip_ws()
-    if scan.pos != len(text):
-        raise scan.error("end of input")
+    if token.lastindex is not None:
+        raise _error(token, "end of input")
     if faults:
         faults.sort()  # into pre-order; no two nodes share an index
         raise ValidationError("; ".join(f"{path}: {fault}" for _, path, own in faults for fault in own))

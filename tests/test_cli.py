@@ -9,6 +9,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -731,10 +732,43 @@ def oracle_is_quick(text: str) -> bool:
 OVERLONG = "1" * 5000  # past the digit limit wherever it stands
 FLAGS = sorted({option.flag for command in COMMANDS.values() for option in command.options} | {"--help", "--version"})
 OPTIONS = {option.flag: option for command in COMMANDS.values() for option in command.options}
-EXPRESSIONS = st.one_of(
+# ARABIC-INDIC THREE, SUPERSCRIPT TWO, ROMAN NUMERAL TWELVE, small and
+# capital E ACUTE, COMBINING ACUTE, and NO-BREAK, EM and IDEOGRAPHIC SPACE
+NON_ASCII = ["\u0663", "\xb2", "\u216b", "\xe9", "\xc9", "\u0301", "\xa0", "\u2003", "\u3000"]
+DEPTH = 5000
+# Nests DEPTH deep: two trees, which the oracle counts in one pass, two
+# with one fault each, and two unbalanced. Many faults in one deep nest are
+# left out: each is named with its whole path, so the message grows with the
+# square of the depth.
+DEEP = [
+    "attach(" * DEPTH + "path(2)" + ")" * DEPTH,
+    "power(" * DEPTH + "complete(1)" + ",2)" * DEPTH,
+    "attach(" * DEPTH + "cycle(2)" + ")" * DEPTH,
+    "wedge(" * DEPTH + "path(0)" + ",path(2))" * DEPTH,
+    "attach(" * DEPTH + "path(2)" + ")" * (DEPTH - 1),
+    "attach(" * DEPTH + "path(2)" + ")" * (DEPTH + 1),
+]
+
+
+@st.composite
+def spliced_texts(draw):
+    """An expression's text with a non-ASCII character put into one of its
+    literals or keywords, or in place of part of it."""
+    text = draw(texts_with_faults(top=20, depth=2))[0]
+    token = draw(st.sampled_from(list(re.finditer(r"[0-9]+|[a-z]+", text))))
+    start = draw(st.integers(token.start(), token.end()))
+    end = draw(st.integers(start, token.end()))
+    return text[:start] + draw(st.sampled_from(NON_ASCII)) + text[end:]
+
+
+SHALLOW = st.one_of(
     texts_with_faults(top=20, depth=2).map(lambda drawn: drawn[0]),
+    spliced_texts(),
     st.sampled_from(["path(" + OVERLONG + ")", "power(complete(2)," + OVERLONG + ")", "-5", "-", "--"]),
 ).filter(oracle_is_quick)
+# The deep nests skip oracle_is_quick: each is refused, a tree or a single
+# vertex, so every command ends it within about 0.1 s.
+EXPRESSIONS = st.one_of(SHALLOW, st.sampled_from(DEEP))
 
 
 def values(flag: str) -> st.SearchStrategy:

@@ -36,6 +36,9 @@ from transmit.formulas import evaluate_expr
 from expr_strategies import expressions, texts_with_faults
 
 
+KEYWORDS = "one of attach, complete, cycle, mesh, path, power, rprod, star, tree, wedge"
+
+
 def refusal(make) -> str:
     """The message of the ValidationError ``make()`` raises."""
     with pytest.raises(ValidationError) as info:
@@ -129,6 +132,30 @@ class TestParse:
             parse("path( " + "1" * 5000 + ")")
         assert info.value.byte_offset == 7
         assert info.value.found == "5000 digits"
+
+    @pytest.mark.parametrize(
+        "text, outcome",
+        [
+            ("Cycle(3)", (1, KEYWORDS, "'C'")),
+            ("cycle\xe9(3)", (1, KEYWORDS, "'c'")),  # a keyword is the whole run of letters
+            ("cycle\xb2(3)", (6, '"("', "'\xb2'")),  # SUPERSCRIPT TWO is no letter
+            ("3", (1, "a topology keyword", "'3'")),
+            ("1" * 5000, (1, "a topology keyword", "'1'")),
+            ("path(3)\x1f", Path(3)),
+            ("\x1cpath(3)", Path(3)),
+            ("path(3) \xa0", (9, "end of input", "'\\xa0'")),
+            ("", (1, "a topology keyword", "end of input")),
+            ("  ", (3, "a topology keyword", "end of input")),
+        ],
+        ids=["upper", "accented", "superscript", "digits", "5000-digits", "trailing-x1f", "leading-x1c", "nbsp", "empty",
+             "spaces"],
+    )
+    def test_each_token_kind_is_read_at_its_offset(self, text, outcome):
+        try:
+            read = parse(text)
+        except TopologyParseError as error:
+            read = (error.byte_offset, error.expected, error.found)
+        assert read == outcome
 
     def test_offset_stays_within_input_plus_one(self):
         for text in ("", "x", "cycle", "cycle(", "cycle(2", "cycle(2))"):
@@ -243,10 +270,18 @@ class TestEstimatedSize:
             (partial(Power, Complete(3), -1), "$: power exponent must be >= 1"),
             (partial(Complete, -4), "$: complete size must be >= 1"),
             (partial(Wedge, ()), "$: wedge needs at least one child"),
+            (partial(Power, Complete(3), 2.0), "$: power exponent must be an int, not float"),
+            (partial(Cycle, 3.5), "$: cycle size must be an int, not float"),
+            (partial(Cycle, "3"), "$: cycle size must be an int, not str"),
+            (partial(Path, True), "$: path size must be an int, not bool"),
+            (partial(Mesh, 5), "$: mesh dims must be a tuple, not int"),
+            (partial(Mesh, (2, 2.0)), "$: mesh dimension 1 must be an int, not float"),
+            (partial(Wedge, [Path(2)]), "$: wedge children must be a tuple, not list"),
         ],
     )
     def test_invalid_expression_is_refused(self, expr, message):
-        # these would fold to 1/3, -4 and 1, sizes no graph has, so no such node is made
+        # the first three would fold to 1/3, -4 and 1, sizes no graph has, and
+        # the rest to a float size or a TypeError, so no such node is made
         assert refusal(expr) == message
 
 
