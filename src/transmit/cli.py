@@ -497,12 +497,15 @@ def _group_help() -> str:
 
 def _run_group(args: list[str]) -> int:
     """``args`` that do not start with a command's name: the group's options,
-    then what should have been a command's name."""
+    then a command's name, which runs that command with the rest, or what
+    should have been one."""
     end = next((i for i, arg in enumerate(args) if not arg.startswith("-")), len(args))
     pages = {"--version": lambda: f"transmit, version {__version__}\n", "--help": _group_help}
     _, values, page = _scan(args[:end], [], pages)
     rest = values + args[end:]
     if rest and not page:
+        if rest[0] in COMMANDS:  # after "--"
+            return COMMANDS[rest[0]].run(rest[1:])
         raise UsageError(f"No such command {rest[0]!r}.")
     sys.stdout.write((page or _group_help)())
     return 0

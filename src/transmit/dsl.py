@@ -12,6 +12,9 @@ the whole run of ``str.isalpha`` letters. The input is one expression:
           | "power(" expr "," INT ")" | "attach(" expr ")"
 
 ``attach`` adds a pendant vertex to the root and re-roots there.
+:func:`parse` locates every fault of a text by its 1-based offset: a
+parse error at the token it could not read, an integer out of range at
+its literal's first digit.
 
 Each node type is described once, by its row in :data:`SPECS`: its
 keyword, its argument schema (field name, kind, minimum, noun), its size
@@ -83,28 +86,29 @@ class Spec:
 SPECS: dict[type, Spec] = {}
 
 
-def _faults(spec: Spec, values: Iterable) -> list[str]:
+def _faults(spec: Spec, values: Iterable) -> list[tuple[Arg, int, str]]:
     """The faults of one node's field values, in field order: an integer
     that is no ``int`` or is below its argument's minimum, and a variadic
-    field that is no tuple or is empty."""
+    field that is no tuple or is empty. Each is (arg, item, message), where
+    ``item`` is the index of the item at fault in a variadic field, else 0."""
     faults = []
     for arg, value in zip(spec.args, values):
         if arg.kind == INT:
             if type(value) is not int:
-                faults.append(f"{spec.keyword} {arg.noun} must be an int, not {type(value).__name__}")
+                faults.append((arg, 0, f"{spec.keyword} {arg.noun} must be an int, not {type(value).__name__}"))
             elif value < arg.minimum:
-                faults.append(f"{spec.keyword} {arg.noun} must be >= {arg.minimum}")
+                faults.append((arg, 0, f"{spec.keyword} {arg.noun} must be >= {arg.minimum}"))
         elif arg.kind in _VARIADIC:
             if type(value) is not tuple:
-                faults.append(f"{spec.keyword} {arg.field} must be a tuple, not {type(value).__name__}")
+                faults.append((arg, 0, f"{spec.keyword} {arg.field} must be a tuple, not {type(value).__name__}"))
             elif not value:
-                faults.append(f"{spec.keyword} needs at least one {arg.noun}")
+                faults.append((arg, 0, f"{spec.keyword} needs at least one {arg.noun}"))
             elif arg.kind == INTS:
                 for i, item in enumerate(value):
                     if type(item) is not int:
-                        faults.append(f"{spec.keyword} {arg.noun} {i} must be an int, not {type(item).__name__}")
+                        faults.append((arg, i, f"{spec.keyword} {arg.noun} {i} must be an int, not {type(item).__name__}"))
                     elif item < arg.minimum:
-                        faults.append(f"{spec.keyword} {arg.noun} {i} must be >= {arg.minimum}")
+                        faults.append((arg, i, f"{spec.keyword} {arg.noun} {i} must be >= {arg.minimum}"))
     return faults
 
 
@@ -114,14 +118,14 @@ def _check(node: Any) -> None:
     ``__dict__`` holds its fields in field order, as ``__init__`` set them."""
     faults = _faults(SPECS[type(node)], vars(node).values())
     if faults:
-        raise ValidationError("; ".join(f"$: {fault}" for fault in faults))
+        raise ValidationError("; ".join(fault for _, _, fault in faults))
 
 
 def _node(name: str, keyword: str, args: tuple[Arg, ...], size: Callable[..., int], triple: str, graph: str,
           doc: str | None = None) -> type:
     """Make the frozen dataclass of one node type, with one field per
     argument, and enter its row in :data:`SPECS`. A node with a field out of
-    range raises :class:`ValidationError` when made, its faults tagged ``$``."""
+    range raises :class:`ValidationError` when made."""
     # the module lets pickle find the class by its public name
     namespace = {"__module__": __name__, "__doc__": doc}
     if any(arg.kind != EXPR for arg in args):  # else there is nothing to check
@@ -263,38 +267,29 @@ def _keyword(tokens: Iterator[re.Match], token: re.Match) -> tuple[type, tuple[A
     raise _error(token, "one of " + ", ".join(sorted(_CLASSES)) if word.isalpha() else "a topology keyword")
 
 
-def _path_text(stack: list) -> str:
-    """The path of the node being read, spelled from the nodes that enclose
-    it on the parse stack: ``$``, then the field of each that holds the next."""
-    steps = []
-    for _, args, values, _ in stack:
-        last = len(args) - 1
-        arg = args[min(len(values), last)]
-        steps.append(f".{arg.field}[{len(values) - last}]" if arg.kind == EXPRS else f".{arg.field}")
-    return "$" + "".join(steps)
-
-
 def parse(text: str) -> TopologyExpr:
     """Parse topology text into its node.
 
     Raises TopologyParseError with a 1-based offset for text that is no
     expression. Raises ValidationError for an expression with a field out of
-    range, naming every fault and tagging each with its node's path, such as
-    ``$.children[1].base``: the nodes in pre-order, a node's faults in field
-    order, all joined by ``"; "``.
+    range, naming every fault by the offset of its literal's first digit,
+    counted the same way, such as ``offset 13: cycle size must be >= 3``:
+    all in text order, joined by ``"; "``.
     """
     tokens = _TOKENS.finditer(text)
-    # The node being read is (cls, args, values, index): its class, its
-    # schema, the argument values so far, a variadic argument's items
-    # flattened at the end, and its place in pre-order. Its enclosing nodes
-    # wait on the stack in the same form. ``token`` is the next token unread.
-    stack: list[tuple[type, tuple[Arg, ...], list, int]] = []
+    # The node being read is (cls, args, values): its class, its schema and
+    # the argument values so far, a variadic argument's items flattened at
+    # the end. Its enclosing nodes wait on the stack in the same form.
+    # ``token`` is the next token unread, and ``offsets`` the 0-based start
+    # of each integer read. A node's own integers follow its sub-expressions,
+    # so they are the last read when it closes, and faults come in text order.
+    stack: list[tuple[type, tuple[Arg, ...], list]] = []
+    offsets: list[int] = []
     # Nodes are made until one has a fault. From then on the text is only
-    # read, and each node's faults are kept as (index, path, faults).
+    # read, and each node's faults are kept.
     faults = None
     cls, args, token = _keyword(tokens, next(tokens))
     values: list = []
-    index = count = 0
     while True:
         n = len(values)
         if n < len(args) or (args[-1].kind in _VARIADIC and token[3] == ","):
@@ -313,12 +308,12 @@ def parse(text: str) -> TopologyExpr:
                     faults = []
             if faults is not None:
                 node = None
-                own = _faults(SPECS[cls], values)
-                if own:
-                    faults.append((index, _path_text(stack), own))
+                for arg, item, fault in _faults(SPECS[cls], values):
+                    # the value at fault is an integer: at place p of n, the (n - p)-th last read
+                    faults.append(f"offset {offsets[args.index(arg) + item - n] + 1}: {fault}")
             if not stack:
                 break
-            cls, args, values, index = stack.pop()
+            cls, args, values = stack.pop()
             values.append(node)
             continue
         if kind in (INT, INTS):
@@ -329,17 +324,16 @@ def parse(text: str) -> TopologyExpr:
             except ValueError:  # longer than the interpreter converts
                 limit = f"an integer of at most {sys.get_int_max_str_digits()} digits"
                 raise TopologyParseError(token.start(1) + 1, limit, f"{len(token[1])} digits") from None
+            offsets.append(token.start(1))
             token = next(tokens)
         else:
-            stack.append((cls, args, values, index))
+            stack.append((cls, args, values))
             cls, args, token = _keyword(tokens, token)
             values = []
-            index = count = count + 1
     if token.lastindex is not None:
         raise _error(token, "end of input")
     if faults:
-        faults.sort()  # into pre-order; no two nodes share an index
-        raise ValidationError("; ".join(f"{path}: {fault}" for _, path, own in faults for fault in own))
+        raise ValidationError("; ".join(faults))
     return node
 
 

@@ -94,7 +94,8 @@ class TopologyParseError(TransmitError):
     """Topology text failed to parse.
 
     Offsets are 1-based byte positions; end of input is reported at
-    ``len(text) + 1``.
+    ``len(text) + 1``. ``dsl.parse`` names a field out of range at the
+    offset of its literal's first digit, counted the same way.
     """
 
     def __init__(self, byte_offset: int, expected: str, found: str):

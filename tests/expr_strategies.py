@@ -59,36 +59,36 @@ def texts_with_faults(draw, top: int = 4, depth: int = 3):
     """The text of a random nesting of every keyword, with literals 0 to
     ``top``, and the faults ``parse`` names for it, in its order.
 
-    The faults are noted as the text is drawn, in pre-order: each node's
-    integers are drawn, and their faults noted in field order, before any of
-    its sub-expressions. Each fault is tagged with its node's path.
+    The text is drawn left to right, and each literal below its minimum is
+    noted as it is written, at the 1-based offset of its first digit, so the
+    faults come in text order.
     """
-    faults = []
+    text, faults = [], []
 
-    def node(path: str, depth: int) -> str:
+    def literal(keyword: str, noun: str, minimum: int) -> None:
+        value = draw(st.integers(0, top))
+        if value < minimum:
+            faults.append(f"offset {sum(map(len, text)) + 1}: {keyword} {noun} must be >= {minimum}")
+        text.append(str(value))
+
+    def node(depth: int) -> None:
         keyword = draw(st.sampled_from(list(GRAMMAR) if depth else PRIMITIVES))
-        texts = {}
-        for kind, name, *minimum in GRAMMAR[keyword]:
+        text.append(keyword + "(")
+        for n, (kind, name, *minimum) in enumerate(GRAMMAR[keyword]):
+            text.append("," if n else "")
             if kind == "int":
-                value = draw(st.integers(0, top))
-                if value < minimum[0]:
-                    faults.append(f"{path}: {keyword} {name} must be >= {minimum[0]}")
-                texts[name] = str(value)
+                literal(keyword, name, minimum[0])
             elif kind == "ints":
-                values = draw(st.lists(st.integers(0, top), min_size=1, max_size=3))
-                faults.extend(
-                    f"{path}: {keyword} {name} {i} must be >= {minimum[0]}"
-                    for i, value in enumerate(values)
-                    if value < minimum[0]
-                )
-                texts[name] = ",".join(map(str, values))
-        for kind, name, *_ in GRAMMAR[keyword]:
-            if kind == "expr":
-                texts[name] = node(f"{path}.{name}", depth - 1)
-            elif kind == "exprs":
-                count = draw(st.integers(1, 3))
-                texts[name] = ",".join(node(f"{path}.{name}[{i}]", depth - 1) for i in range(count))
-        return f"{keyword}({','.join(texts[arg[1]] for arg in GRAMMAR[keyword])})"
+                for i in range(draw(st.integers(1, 3))):
+                    text.append("," if i else "")
+                    literal(keyword, f"{name} {i}", minimum[0])
+            elif kind == "expr":
+                node(depth - 1)
+            else:
+                for i in range(draw(st.integers(1, 3))):
+                    text.append("," if i else "")
+                    node(depth - 1)
+        text.append(")")
 
-    text = node("$", depth)
-    return text, faults
+    node(depth)
+    return "".join(text), faults

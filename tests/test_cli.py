@@ -559,6 +559,11 @@ class TestUsage:
         assert code == 1
         assert "No such command" in err
 
+    def test_a_command_name_after_double_dash_runs_that_command(self, capsys):
+        code, out, err = run(capsys, "--", "eval", "path(2)")
+        assert (code, err) == (0, "") and out.startswith("expr           path(2)\n")
+        assert run(capsys, "eval", "path(2)") == (code, out, err)
+
     def test_no_arguments_shows_help(self, capsys):
         code, out, _ = run(capsys)
         assert code == 0
@@ -589,6 +594,7 @@ class TestUsage:
 #: Each is refused with exit code 1, one error line and nothing on stdout.
 USAGE_ERRORS = [
     (("transmogrify",), "No such command 'transmogrify'."),
+    (("--", "bogus"), "No such command 'bogus'."),
     (("eval", "path(2)", "--bogus"), "No such option '--bogus'."),
     # an abbreviation of --format is refused, not read as --format
     (("eval", "path(2)", "--form", "json"), "No such option '--form'. Did you mean '--format'?"),
@@ -737,14 +743,15 @@ OPTIONS = {option.flag: option for command in COMMANDS.values() for option in co
 NON_ASCII = ["\u0663", "\xb2", "\u216b", "\xe9", "\xc9", "\u0301", "\xa0", "\u2003", "\u3000"]
 DEPTH = 5000
 # Nests DEPTH deep: two trees, which the oracle counts in one pass, two
-# with one fault each, and two unbalanced. Many faults in one deep nest are
-# left out: each is named with its whole path, so the message grows with the
-# square of the depth.
+# with one fault each, one with a fault at every level, and two unbalanced.
+# Each fault is named by its literal's offset, so the message of the one
+# with DEPTH + 1 faults grows with the depth alone.
 DEEP = [
     "attach(" * DEPTH + "path(2)" + ")" * DEPTH,
     "power(" * DEPTH + "complete(1)" + ",2)" * DEPTH,
     "attach(" * DEPTH + "cycle(2)" + ")" * DEPTH,
     "wedge(" * DEPTH + "path(0)" + ",path(2))" * DEPTH,
+    "wedge(" * DEPTH + "path(0)" + ",star(0))" * DEPTH,
     "attach(" * DEPTH + "path(2)" + ")" * (DEPTH - 1),
     "attach(" * DEPTH + "path(2)" + ")" * (DEPTH + 1),
 ]
