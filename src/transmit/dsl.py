@@ -283,11 +283,11 @@ def parse(text: str) -> TopologyExpr:
     # ``token`` is the next token unread, and ``offsets`` the 0-based start
     # of each integer read. A node's own integers follow its sub-expressions,
     # so they are the last read when it closes, and faults come in text order.
+    # Each node is made as it closes. One whose own check refuses it is None,
+    # with its faults kept, and its parents are made with None in its place.
     stack: list[tuple[type, tuple[Arg, ...], list]] = []
     offsets: list[int] = []
-    # Nodes are made until one has a fault. From then on the text is only
-    # read, and each node's faults are kept.
-    faults = None
+    faults: list[str] = []
     cls, args, token = _keyword(tokens, next(tokens))
     values: list = []
     while True:
@@ -301,12 +301,9 @@ def parse(text: str) -> TopologyExpr:
             last = len(args) - 1
             if args[last].kind in _VARIADIC:
                 values[last:] = [tuple(values[last:])]
-            if faults is None:
-                try:
-                    node = cls(*values)
-                except ValidationError:
-                    faults = []
-            if faults is not None:
+            try:
+                node = cls(*values)
+            except ValidationError:
                 node = None
                 for arg, item, fault in _faults(SPECS[cls], values):
                     # the value at fault is an integer: at place p of n, the (n - p)-th last read

@@ -1,6 +1,6 @@
 """Exact closed-form transmission arithmetic, compositional over expressions.
 
-Every operation returns a :class:`TransmissionTriple` of Python integers:
+Every closed form returns a :class:`TransmissionTriple` of Python integers:
 the vertex count, the transmission delta (sum of distances over ordered
 vertex pairs) and the root transmission delta0 (sum of distances from the
 root). No graph is ever materialized here, so these scale far beyond what
@@ -23,7 +23,12 @@ from functools import reduce
 
 from . import dsl
 from .dsl import TopologyExpr
-from .errors import InexactDivisionError, ValidationError, decimal_text
+from .errors import InexactDivisionError, ResourceLimitError, ValidationError, decimal_text
+
+#: The most terms times arity bits ``gf_series`` computes. Every valid arity
+#: has at least 2 bits, so it computes at most 1000 terms: 1000 of arity 2 or
+#: 3 take a fraction of a second, 2000 several seconds.
+MAX_SERIES_SIZE = 2000
 
 
 def exact_div(numerator: int, denominator: int) -> int:
@@ -67,26 +72,6 @@ class TransmissionTriple:
         if self.size >= 2 and self.delta0 < self.size - 1:
             raise ValidationError(
                 f"delta0 {decimal_text(self.delta0)} below size - 1 = {decimal_text(self.size - 1)}"
-            )
-
-
-@dataclass(frozen=True)
-class SeriesTerms:
-    """Power-series coefficients: terms[k] = delta of the depth-(k+1) tree.
-
-    Built by ``gf_series``, which range-checks the arity and the term count
-    before its convolution; the series itself checks its leading term.
-    """
-
-    arity: int
-    terms: tuple[int, ...]
-
-    def __post_init__(self):
-        expected = 2 * self.arity**2
-        if not self.terms or self.terms[0] != expected:
-            leading = decimal_text(self.terms[0]) if self.terms else "none"
-            raise ValidationError(
-                f"leading term must be 2*arity^2 = {decimal_text(expected)}, got {leading}"
             )
 
 
@@ -203,25 +188,31 @@ def power_triple(base: TransmissionTriple, k: int) -> TransmissionTriple:
     return TransmissionTriple(size, delta, delta0)
 
 
-def gf_series(arity: int, terms: int) -> SeriesTerms:
-    """Tree transmissions as generating-series coefficients.
+def gf_series(arity: int, terms: int) -> tuple[int, ...]:
+    """Tree transmissions as generating-series coefficients: the k-th is the
+    delta of the depth-(k+1) perfect tree.
 
-    The series 2 n^2 / ((1 - nx)^2 (1 - n^2 x)^2) generates the deltas of
-    the depth-(k+1) perfect trees; the coefficient of x^k is computed by
-    exact convolution of the two factor series (i+1) n^i and (j+1) n^{2j}.
+    The series 2 n^2 / ((1 - nx)^2 (1 - n^2 x)^2) generates them; the
+    coefficient of x^k is computed by exact convolution of the two factor
+    series (i+1) n^i and (j+1) n^{2j}. That costs about terms² times the
+    arity's bits, so after the arity and the term count are checked, terms
+    times the arity's bit length above :data:`MAX_SERIES_SIZE` is refused
+    with :class:`ResourceLimitError` before any work.
     """
     if arity < 2:
-        raise ValidationError(f"series arity must be >= 2, got {arity}")
+        raise ValidationError(f"series arity must be >= 2, got {decimal_text(arity)}")
     if terms < 1:
-        raise ValidationError(f"series needs at least one term, got {terms}")
+        raise ValidationError(f"series needs at least one term, got {decimal_text(terms)}")
+    size = terms * arity.bit_length()
+    if size > MAX_SERIES_SIZE:
+        raise ResourceLimitError(size, MAX_SERIES_SIZE, quantity="terms times arity bits", cap="series size limit")
     n = arity
     first = [(i + 1) * n**i for i in range(terms)]
     second = [(j + 1) * n ** (2 * j) for j in range(terms)]
-    coefficients = tuple(
+    return tuple(
         2 * n**2 * sum(first[i] * second[k - i] for i in range(k + 1))
         for k in range(terms)
     )
-    return SeriesTerms(arity, coefficients)
 
 
 def evaluate_expr(expr: TopologyExpr) -> TransmissionTriple:

@@ -80,8 +80,7 @@ def test_criterion_2_binary_tree_identity():
 def test_criterion_3_generating_function_check():
     failures = []
     for n in range(2, 7):
-        series = gf_series(n, 8)
-        for k, coefficient in enumerate(series.terms):
+        for k, coefficient in enumerate(gf_series(n, 8)):
             recurrence = tree_recurrence(n, k + 1).delta
             if coefficient != recurrence:
                 failures.append(f"n={n} k={k}: {coefficient} != {recurrence}")

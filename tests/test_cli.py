@@ -394,6 +394,16 @@ class TestVerify:
         assert code == 2
         assert out.endswith("MISMATCH\n")
 
+    def test_oracle_off_by_one_yields_mismatch(self, capsys, monkeypatch):
+        # the oracle's numbers are compared as they come, so an odd delta is
+        # a MISMATCH, not a refused triple
+        real = transmit.cli.graph_transmission
+        monkeypatch.setattr(transmit.cli, "graph_transmission", lambda graph: real(graph) + 1)
+        code, out, err = run(capsys, "verify", "path(3)")
+        assert (code, err) == (2, "")
+        assert "\ndelta   8            9\n" in out
+        assert out.endswith("MISMATCH\n")
+
 
 @pytest.mark.parametrize("text, nodes", [("cycle(7)", 1), ("wedge(cycle(7),power(path(2),3))", 4)])
 @pytest.mark.parametrize("command", ["verify", "hist", "eval"])
@@ -474,6 +484,11 @@ class TestSeries:
         assert code == 1
         assert "arity must be >= 2" in err
 
+    def test_arity_is_checked_before_the_size_limit(self, capsys):
+        code, out, err = run(capsys, "series", "--arity", "1", "--terms", "1500")
+        assert (code, out) == (1, "")
+        assert err == "error: series arity must be >= 2, got 1\n"
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "series", "--arity", "2", "--terms", "2", "--format", "json")
         payload = json.loads(out)
@@ -489,21 +504,16 @@ class TestSeries:
         assert code == 1
         assert "terms" in err.lower()
 
-    def test_terms_past_the_limit_are_refused_before_any_work(self, capsys, monkeypatch):
-        # the convolution is quadratic in the terms: 10**11 of them never finish
-        monkeypatch.setattr(transmit.cli, "gf_series", lambda *args: pytest.fail("series computed terms"))
-        for terms in (transmit.cli.MAX_SERIES_TERMS + 1, 10**11):
-            code, out, err = run(capsys, "series", "--arity", "2", "--terms", str(terms))
-            assert (code, out) == (3, "")
-            assert err == f"error: --terms {terms} exceeds the series term limit of 1000\n"
-
     def test_terms_times_arity_bits_past_the_limit_are_refused_before_any_work(self, capsys, monkeypatch):
-        # each coefficient has about 2 * terms * arity.bit_length() bits
-        monkeypatch.setattr(transmit.cli, "gf_series", lambda *args: pytest.fail("series computed terms"))
-        for arity, terms, size in ((4, 1000, 3000), (10**6, 1000, 20000), (2**2000, 1, 2001)):
+        # each coefficient has about 2 * terms * arity.bit_length() bits, and
+        # the convolution is quadratic in the terms: 10**11 of them never finish.
+        # Its loops are the only calls to range in formulas.
+        monkeypatch.setattr(transmit.formulas, "range", lambda *args: pytest.fail("series computed terms"), raising=False)
+        rows = ((4, 1000, 3000), (10**6, 1000, 20000), (2**2000, 1, 2001), (2, 1001, 2002), (2, 10**11, 2 * 10**11))
+        for arity, terms, size in rows:
             code, out, err = run(capsys, "series", "--arity", str(arity), "--terms", str(terms))
             assert (code, out) == (3, "")
-            assert err == f"error: --terms times arity bits {size} exceeds the series size limit of 2000\n"
+            assert err == f"error: terms times arity bits {size} exceeds the series size limit of 2000\n"
 
     def test_terms_times_arity_bits_at_the_limit_are_computed(self, capsys):
         code, out, err = run(capsys, "series", "--arity", str(2**1999), "--terms", "1", "--format", "csv")

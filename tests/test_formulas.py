@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 import transmit.formulas
 from transmit.builders import build_expr
 from transmit.dsl import Complete, Cycle, Mesh, Path, Star, Wedge, parse
-from transmit.errors import InexactDivisionError, ValidationError
+from transmit.errors import InexactDivisionError, ResourceLimitError, ValidationError
 from transmit.formulas import (
-    SeriesTerms,
     TransmissionTriple,
     attach_root_triple,
     cartesian_triple,
@@ -78,13 +77,13 @@ HUGE, HUGE_TEXT = 10**5000 + 1, "1" + "0" * 4999 + "1"
             ValidationError,
             f"delta0 1 below size - 1 = {HUGE_TEXT[:-1]}0",
         ),
-        (
-            lambda: SeriesTerms(2, (HUGE,)),
-            ValidationError,
-            f"leading term must be 2*arity^2 = 8, got {HUGE_TEXT}",
-        ),
+        (lambda: gf_series(-HUGE, 1), ValidationError, f"series arity must be >= 2, got -{HUGE_TEXT}"),
+        (lambda: gf_series(2, -HUGE), ValidationError, f"series needs at least one term, got -{HUGE_TEXT}"),
     ],
-    ids=["numerator", "denominator", "size", "negative", "odd-delta", "pair-floor", "half-delta", "root-floor", "series"],
+    ids=[
+        "numerator", "denominator", "size", "negative", "odd-delta", "pair-floor", "half-delta", "root-floor",
+        "series-arity", "series-terms",
+    ],
 )
 def test_fault_messages_write_integers_past_the_digit_limit(make, error, message):
     with pytest.raises(error) as raised:
@@ -310,18 +309,17 @@ class TestPowerTriple:
 class TestSeries:
     def test_single_term_is_star_delta(self):
         for n in range(2, 8):
-            assert gf_series(n, 1).terms == (2 * n**2,)
+            assert gf_series(n, 1) == (2 * n**2,)
 
     def test_binary_terms(self):
-        assert gf_series(2, 3).terms == (8, 96, 736)
+        assert gf_series(2, 3) == (8, 96, 736)
 
     def test_ternary_terms(self):
-        assert gf_series(3, 2).terms == (18, 432)
+        assert gf_series(3, 2) == (18, 432)
 
     def test_matches_tree_recurrence(self):
         for n in range(2, 7):
-            series = gf_series(n, 8)
-            for k, coefficient in enumerate(series.terms):
+            for k, coefficient in enumerate(gf_series(n, 8)):
                 assert coefficient == tree_recurrence(n, k + 1).delta
                 assert coefficient == tree_triple(n, k + 1).delta
 
@@ -331,9 +329,11 @@ class TestSeries:
         with pytest.raises(ValidationError):
             gf_series(3, 0)
 
-    def test_terms_invariant_enforced(self):
-        with pytest.raises(ValidationError):
-            SeriesTerms(2, (10, 96))
+    def test_size_limit(self):
+        # terms times the arity's bit length: 1001 * 2 is past 2000
+        with pytest.raises(ResourceLimitError) as raised:
+            gf_series(2, 1001)
+        assert str(raised.value) == "terms times arity bits 2002 exceeds the series size limit of 2000"
 
 
 class TestEvaluateExpr:
