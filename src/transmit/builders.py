@@ -24,10 +24,10 @@ rules. A wedge or an attach returns a pending :class:`Glued` instead, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 from . import dsl
+from ._frozen import Frozen
 from .dsl import TopologyExpr
 from .errors import ResourceLimitError
 from .graph import RootedGraph
@@ -80,13 +80,10 @@ def tree_graph(arity: int, depth: int) -> tuple:
     return tuple(rows)
 
 
-@dataclass(slots=True)
-class Glued:
+class Glued(Frozen):
     """A wedge of ``parts``, not yet written out; with ``pendant``, an attach."""
 
-    size: int
-    parts: tuple
-    pendant: bool
+    __slots__ = ("size", "parts", "pendant")
 
     def __len__(self) -> int:
         return self.size

@@ -19,16 +19,14 @@ number (``-5``, ``-.5``) and holds no space. Help pages are laid out for
 
 from __future__ import annotations
 
-import csv as csv_module
 import decimal
 import io
-import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 from . import __version__
 from .builders import DEFAULT_VERTEX_CAP, build_expr
@@ -123,12 +121,16 @@ def _emit(fmt: str, output) -> None:
     columns sized to content, trailing spaces trimmed.
     """
     if fmt == "json":
+        import json  # only JSON output needs it
+
         print(json.dumps(output, indent=2))
         return
     rows = [[_cell(value, fmt) for value in row] for row in output]
     if fmt == "csv":
+        import csv  # only CSV output needs it
+
         buffer = io.StringIO()
-        csv_module.writer(buffer, lineterminator="\n").writerows(rows)
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
         sys.stdout.write(buffer.getvalue())
         return
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
@@ -244,7 +246,13 @@ class UsageError(Exception):
     """The arguments do not fit the command's row of :data:`COMMANDS`."""
 
 
-class Option(NamedTuple):
+class Option(
+    namedtuple(
+        "Option",
+        "flag dest help choices integer minimum default required",
+        defaults=((), False, None, None, False),
+    )
+):
     """One ``--flag VALUE`` option, passed to the callback as ``dest``.
 
     Its value is one of ``choices`` when they are given, else an integer
@@ -253,14 +261,7 @@ class Option(NamedTuple):
     help shows unless it is None.
     """
 
-    flag: str
-    dest: str
-    help: str
-    choices: tuple[str, ...] = ()
-    integer: bool = False
-    minimum: int | None = None
-    default: object = None
-    required: bool = False
+    __slots__ = ()
 
     def metavar(self) -> str:
         if self.choices:
@@ -363,17 +364,12 @@ def _scan(args: list[str], flags: list[str], pages: dict[str, Callable[[], str]]
     return texts, values, page
 
 
-@dataclass
-class Command:
+class Command(namedtuple("Command", "name callback help argument options")):
     """One command: its callback gets the positional argument first, if the
     command has one, then each option by its ``dest``. An ``argument`` whose
     name ends in ``...`` takes one or more values, passed as a list."""
 
-    name: str
-    callback: Callable[..., int]
-    help: str
-    argument: str | None
-    options: tuple[Option, ...]
+    __slots__ = ()
 
     def help_page(self) -> str:
         usage = f"transmit {self.name} [OPTIONS]" + (f" {self.argument}" if self.argument else "")

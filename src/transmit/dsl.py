@@ -19,10 +19,11 @@ its literal's first digit.
 Each node type is described once, by its row in :data:`SPECS`: its
 keyword, its argument schema (field name, kind, minimum, noun), its size
 rule and the names of its closed form in :mod:`transmit.formulas` and its
-builder in :mod:`transmit.builders`. The node classes are frozen
-dataclasses made from those rows, one field per argument, that refuse a
-field out of range when made, so no other code checks one. The parser,
-:func:`render` and :func:`estimated_size` are driven by that table.
+builder in :mod:`transmit.builders`. :func:`_node` makes each node class
+from its row: a slotted, immutable class with one field per argument, equal
+to another node only of its own class, whose ``__init__`` refuses a field
+out of range, so no other code checks one. The parser, :func:`render` and
+:func:`estimated_size` are driven by that table.
 :func:`fold` is the bottom-up traversal that :func:`render`,
 :func:`estimated_size` and both engines share. Nothing here recurses, so
 nesting depth is bounded by memory alone.
@@ -34,10 +35,11 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass, make_dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator, Union
 
+from ._frozen import Frozen
 from .errors import TopologyParseError, ValidationError, decimal_text
 
 
@@ -45,28 +47,23 @@ from .errors import TopologyParseError, ValidationError, decimal_text
 # one or more sub-expressions. A variadic kind is always the last argument.
 INT, INTS, EXPR, EXPRS = "int", "ints", "expr", "exprs"
 _VARIADIC = (INTS, EXPRS)
-_ANNOTATIONS = {INT: "int", INTS: "tuple[int, ...]", EXPR: "TopologyExpr", EXPRS: "tuple[TopologyExpr, ...]"}
 
 
-@dataclass(frozen=True)
-class Arg:
+class Arg(namedtuple("Arg", "field kind noun minimum", defaults=("", 0))):
     """One node argument: the node's field named ``field``, in field order.
 
     ``minimum`` bounds every integer an int/ints argument holds; ``noun``
     names the argument in fault messages (an expr argument has none).
     """
 
-    field: str
-    kind: str
-    noun: str = ""
-    minimum: int = 0
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Spec:
-    """Everything the package knows about one node class: the keyword, the
-    argument schema, the exact vertex count and the names of the closed form
-    in :mod:`transmit.formulas` and the builder in :mod:`transmit.builders`.
+class Spec(namedtuple("Spec", "keyword args size triple graph")):
+    """Everything the package knows about one node class: the ``keyword``,
+    the argument schema ``args``, the exact vertex count ``size`` and the
+    names of the closed form ``triple`` in :mod:`transmit.formulas` and the
+    builder ``graph`` in :mod:`transmit.builders`.
 
     ``size``, the closed form and the builder all take the node's fields in
     field order, each sub-expression replaced by its own result (see
@@ -76,11 +73,7 @@ class Spec:
     every call.
     """
 
-    keyword: str
-    args: tuple[Arg, ...]
-    size: Callable[..., int]
-    triple: str
-    graph: str
+    __slots__ = ()
 
 
 SPECS: dict[type, Spec] = {}
@@ -112,26 +105,32 @@ def _faults(spec: Spec, values: Iterable) -> list[tuple[Arg, int, str]]:
     return faults
 
 
-def _check(node: Any) -> None:
-    """The ``__post_init__`` of every node with an int or variadic field:
-    refuse it if a field is of the wrong type or out of range. A node's
-    ``__dict__`` holds its fields in field order, as ``__init__`` set them."""
-    faults = _faults(SPECS[type(node)], vars(node).values())
+def _check(spec: Spec, *values: object) -> None:
+    """The check of every node with an int or variadic field: refuse its
+    field values, in field order, if one is of the wrong type or out of range."""
+    faults = _faults(spec, values)
     if faults:
         raise ValidationError("; ".join(fault for _, _, fault in faults))
 
 
+class TopologyExpr(Frozen):
+    """The base of the node classes, which :func:`_node` makes."""
+
+    __slots__ = ()
+
+
 def _node(name: str, keyword: str, args: tuple[Arg, ...], size: Callable[..., int], triple: str, graph: str,
           doc: str | None = None) -> type:
-    """Make the frozen dataclass of one node type, with one field per
-    argument, and enter its row in :data:`SPECS`. A node with a field out of
-    range raises :class:`ValidationError` when made."""
+    """Make the node class of one node type, with one field per argument,
+    and enter its row in :data:`SPECS`. A node with a field out of range
+    raises :class:`ValidationError` when made."""
+    spec = Spec(keyword, args, size, triple, graph)
     # the module lets pickle find the class by its public name
-    namespace = {"__module__": __name__, "__doc__": doc}
+    namespace = {"__slots__": tuple(arg.field for arg in args), "__module__": __name__, "__doc__": doc}
     if any(arg.kind != EXPR for arg in args):  # else there is nothing to check
-        namespace["__post_init__"] = _check
-    cls = make_dataclass(name, [(arg.field, _ANNOTATIONS[arg.kind]) for arg in args], frozen=True, namespace=namespace)
-    SPECS[cls] = Spec(keyword, args, size, triple, graph)
+        namespace["_check"] = partial(_check, spec)
+    cls = type(name, (TopologyExpr,), namespace)
+    SPECS[cls] = spec
     return cls
 
 
@@ -177,8 +176,6 @@ Power = _node("Power", "power", (Arg("base", EXPR), Arg("exponent", INT, "expone
 Attach = _node("Attach", "attach", (Arg("child", EXPR),), _plus_one, "attach_root_triple", "attach_root",
                doc="Pendant vertex added at the root; the pendant becomes the new root.")
 
-TopologyExpr = Union[tuple(SPECS)]
-
 # Worked out once from SPECS, so the traversals below do no per-node
 # introspection: keyword -> (class, args), and class -> (field names, the
 # (position, variadic) pairs of the fields holding sub-expressions).
@@ -192,11 +189,11 @@ _SHAPE = {
 }
 
 
-def _unknown(node: Any) -> ValidationError:
+def _unknown(node: object) -> ValidationError:
     return ValidationError(f"unknown expression node {node!r}")
 
 
-def fold(expr: TopologyExpr, ops: dict[type, Callable[..., Any]]) -> Any:
+def fold(expr: TopologyExpr, ops: dict[type, Callable[..., object]]) -> object:
     """Post-order fold with an explicit stack.
 
     Each node becomes ``ops[type(node)](*fields)``: its fields in field
@@ -342,7 +339,7 @@ def estimated_size(expr: TopologyExpr) -> int:
     return fold(expr, _SIZE_OPS)
 
 
-def _render_node(keyword: str, *values: Any) -> str:
+def _render_node(keyword: str, *values: object) -> str:
     """``keyword(...)`` of the field values: integers in full, rendered
     sub-expressions as they are, a variadic field's items in turn."""
     parts: list[str] = []

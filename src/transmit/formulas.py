@@ -18,10 +18,10 @@ was transcribed wrong, never a rounding issue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 from . import dsl
+from ._frozen import Frozen
 from .dsl import TopologyExpr
 from .errors import InexactDivisionError, ResourceLimitError, ValidationError, decimal_text
 
@@ -41,38 +41,31 @@ def exact_div(numerator: int, denominator: int) -> int:
     return quotient
 
 
-@dataclass(frozen=True)
-class TransmissionTriple:
+class TransmissionTriple(Frozen):
     """(|G|, delta(G), delta0(G)) for some connected rooted graph G.
 
     Construction enforces the identities every connected rooted graph
     satisfies, so an invalid triple cannot circulate.
     """
 
-    size: int
-    delta: int
-    delta0: int
+    __slots__ = ("size", "delta", "delta0")
 
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValidationError(f"size must be >= 1, got {decimal_text(self.size)}")
-        if self.delta < 0 or self.delta0 < 0:
+    @staticmethod
+    def _check(size: int, delta: int, delta0: int) -> None:
+        if size < 1:
+            raise ValidationError(f"size must be >= 1, got {decimal_text(size)}")
+        if delta < 0 or delta0 < 0:
             raise ValidationError("transmissions must be nonnegative")
-        if self.delta % 2 != 0:
-            raise ValidationError(f"delta must be even, got {decimal_text(self.delta)}")
-        if self.size >= 2 and self.delta < self.size * (self.size - 1):
+        if delta % 2 != 0:
+            raise ValidationError(f"delta must be even, got {decimal_text(delta)}")
+        if size >= 2 and delta < size * (size - 1):
             raise ValidationError(
-                f"delta {decimal_text(self.delta)} below the distinct-pair floor"
-                f" for size {decimal_text(self.size)}"
+                f"delta {decimal_text(delta)} below the distinct-pair floor for size {decimal_text(size)}"
             )
-        if 2 * self.delta0 > self.delta:
-            raise ValidationError(
-                f"delta0 {decimal_text(self.delta0)} exceeds half of delta {decimal_text(self.delta)}"
-            )
-        if self.size >= 2 and self.delta0 < self.size - 1:
-            raise ValidationError(
-                f"delta0 {decimal_text(self.delta0)} below size - 1 = {decimal_text(self.size - 1)}"
-            )
+        if 2 * delta0 > delta:
+            raise ValidationError(f"delta0 {decimal_text(delta0)} exceeds half of delta {decimal_text(delta)}")
+        if size >= 2 and delta0 < size - 1:
+            raise ValidationError(f"delta0 {decimal_text(delta0)} below size - 1 = {decimal_text(size - 1)}")
 
 
 def complete_triple(n: int) -> TransmissionTriple:

@@ -35,10 +35,10 @@ and a graph of at most 2048 vertices runs a block half as wide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
 
+from ._frozen import Frozen
 from .errors import ConnectivityError, ValidationError
 
 # Sources per block of reach bitsets. Wider blocks mean fewer interpreted
@@ -55,22 +55,21 @@ _BLOCK = 2048
 _DISCONNECTED = "graph is disconnected; transmission is undefined"
 
 
-@dataclass(frozen=True)
-class RootedGraph:
+class RootedGraph(Frozen):
     """Undirected simple graph rooted at vertex 0.
 
     ``adjacency[i]`` is the strictly increasing tuple of neighbors of
     vertex ``i``; vertices are ``0 .. vertex_count - 1``.
     """
 
-    adjacency: tuple[tuple[int, ...], ...]
+    __slots__ = ("adjacency",)
 
     @property
     def vertex_count(self) -> int:
         return len(self.adjacency)
 
-    def __post_init__(self):
-        rows = self.adjacency
+    @staticmethod
+    def _check(rows: tuple[tuple[int, ...], ...]) -> None:
         fault = _symmetry_fault(rows) if rows else "vertex_count must be >= 1, got 0"
         if fault:
             raise ValidationError(_entry_fault(rows) or fault)

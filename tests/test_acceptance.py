@@ -12,13 +12,13 @@ import io
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 
 import transmit.cli
 from transmit.builders import build_expr
 from transmit.cli import main
 from transmit.dsl import estimated_size, parse
 from transmit.formulas import (
+    TransmissionTriple,
     complete_triple,
     evaluate_expr,
     gf_series,
@@ -188,12 +188,13 @@ def test_criterion_8_cli_contract(monkeypatch):
 
     # a deliberately corrupted formula must be caught as a mismatch
     real = transmit.cli.evaluate_expr
+
+    def corrupted(expr):
+        triple = real(expr)
+        return TransmissionTriple(triple.size, triple.delta + 2, triple.delta0)
+
     with monkeypatch.context() as patch:
-        patch.setattr(
-            transmit.cli,
-            "evaluate_expr",
-            lambda expr: replace(real(expr), delta=real(expr).delta + 2),
-        )
+        patch.setattr(transmit.cli, "evaluate_expr", corrupted)
         code, out, _ = _run_cli("verify", "tree(2,2)")
         if code != 2 or "MISMATCH" not in out:
             failures.append(f"corrupted formula: exit {code}")

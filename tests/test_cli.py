@@ -14,7 +14,6 @@ import subprocess
 import sys
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,6 +30,7 @@ from transmit.errors import decimal_text
 from transmit.formulas import TransmissionTriple, path_triple
 
 from expr_strategies import expressions, texts_with_faults
+from test_cli_bytes import EVAL_JSON, HIST_CSV
 from recurrences import power_coefficients, tree_recurrence
 
 
@@ -385,11 +385,12 @@ class TestVerify:
 
     def test_corrupted_formula_yields_mismatch(self, capsys, monkeypatch):
         real = transmit.cli.evaluate_expr
-        monkeypatch.setattr(
-            transmit.cli,
-            "evaluate_expr",
-            lambda expr: replace(real(expr), delta=real(expr).delta + 2),
-        )
+
+        def corrupted(expr):
+            triple = real(expr)
+            return TransmissionTriple(triple.size, triple.delta + 2, triple.delta0)
+
+        monkeypatch.setattr(transmit.cli, "evaluate_expr", corrupted)
         code, out, _ = run(capsys, "verify", "star(3)")
         assert code == 2
         assert out.endswith("MISMATCH\n")
@@ -652,6 +653,43 @@ def test_importing_the_cli_loads_no_click():
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
+# Modules that a command should load only when it needs them: dataclasses
+# alone brings in inspect, ast and dis, and each format its own module.
+LAZY_MODULES = {"dataclasses", "inspect", "ast", "dis", "json", "csv"}
+
+EVAL_PATH_3 = """\
+expr           path(3)
+size           3
+delta          8
+delta0         3
+mean_all       8/9 (0.888889)
+mean_distinct  4/3 (1.33333)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, stdout",
+    [
+        (None, set(), ""),
+        (["eval", "path(3)"], set(), EVAL_PATH_3),
+        (["eval", "tree(2,2)", "--format", "json"], {"json"}, EVAL_JSON),
+        (["hist", "mesh(2,3)", "--format", "csv"], {"csv"}, HIST_CSV),
+    ],
+    ids=["import", "eval", "json", "csv"],
+)
+def test_a_command_loads_only_the_modules_its_format_needs(argv, loaded, stdout):
+    # the modules a bare interpreter has loaded when the -c code starts are left out
+    run_main = "" if argv is None else f"transmit.cli.main({argv!r}); "
+    code = (
+        "import sys; before = set(sys.modules); import transmit.cli; "
+        f"{run_main}sys.stderr.write(' '.join(set(sys.modules) - before))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    new = set(result.stderr.split())
+    assert (result.returncode, "transmit.cli" in new, new & LAZY_MODULES) == (0, True, loaded)
+    assert result.stdout == stdout
+
+
 def test_redirected_streams_are_not_kept_alive():
     refs = []
     for argv in (["eval", "path(2)"], ["eval", "bogus("], ["--version"], ["--help"], ["eval", "--help"]):
@@ -690,6 +728,33 @@ def test_a_full_stdout_exits_1_with_one_error_line():
             [sys.executable, "-m", "transmit", "verify", "path(3)"], stdout=full, stderr=subprocess.PIPE, text=True
         )
     assert (result.returncode, result.stderr) == (1, "error: stdout refused a write: No space left on device\n")
+
+
+# Inputs that still run far past any budget. Each is marked with the change
+# that mends it, in ROADMAP's open items, so it shows the day that lands.
+# On TimeoutExpired, subprocess.run has killed the child.
+KNOWN_HANGS = [
+    pytest.param(
+        ["hist", "cycle(100000)"],
+        marks=pytest.mark.xfail(
+            raises=subprocess.TimeoutExpired, strict=True, reason="ROADMAP item 7: the orbit-reduced oracle"
+        ),
+        id="hist-cycle-100000",
+    ),
+    pytest.param(
+        ["eval", "power(complete(10),10000000)"],
+        marks=pytest.mark.xfail(
+            raises=subprocess.TimeoutExpired, strict=True, reason="ROADMAP item 2: a digit budget for eval"
+        ),
+        id="eval-huge-power",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv", KNOWN_HANGS)
+def test_a_known_hang_finishes_in_3_seconds(argv):
+    result = subprocess.run([sys.executable, "-m", "transmit", *argv], capture_output=True, text=True, timeout=3)
+    assert result.returncode in (0, 1, 2, 3)
 
 
 def test_module_entry_point_runs_in_subprocess():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -111,6 +113,19 @@ class TestTripleInvariants:
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValidationError):
             TransmissionTriple(0, 0, 0)
+
+    def test_value_contract(self):
+        triple = TransmissionTriple(size=3, delta=8, delta0=3)
+        assert triple == TransmissionTriple(3, 8, 3) == path_triple(3)
+        assert hash(triple) == hash(path_triple(3))
+        assert triple != TransmissionTriple(3, 6, 2) and triple != (3, 8, 3)
+        assert pickle.loads(pickle.dumps(triple)) == copy.deepcopy(triple) == triple
+        with pytest.raises(AttributeError):
+            triple.delta = 6
+        with pytest.raises(AttributeError):
+            del triple.delta
+        assert (triple.size, triple.delta, triple.delta0) == (3, 8, 3)
+        assert repr(triple) == "TransmissionTriple(size=3, delta=8, delta0=3)"
 
 
 class TestPrimitiveTriples:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import sys
 
@@ -109,6 +111,19 @@ class TestRootedGraphInvariants:
     def test_rejects_no_vertices(self):
         with pytest.raises(ValidationError, match="^vertex_count must be >= 1, got 0$"):
             RootedGraph(())
+
+    def test_value_contract(self):
+        graph = RootedGraph(adjacency=((1,), (0,)))
+        assert graph == RootedGraph(((1,), (0,))) == built("path(2)")
+        assert hash(graph) == hash(built("path(2)"))
+        assert graph != SINGLE and graph != ((1,), (0,))
+        assert pickle.loads(pickle.dumps(graph)) == copy.deepcopy(graph) == graph
+        with pytest.raises(AttributeError):
+            graph.adjacency = ((),)
+        with pytest.raises(AttributeError):
+            del graph.adjacency
+        assert graph.adjacency == ((1,), (0,)) and graph.vertex_count == 2
+        assert repr(graph) == "RootedGraph(adjacency=((1,), (0,)))"
 
     def test_from_edges_deduplicates_and_sorts(self):
         g = graph_from_edges(3, [(2, 0), (0, 1), (1, 0)])
