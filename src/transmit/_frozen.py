@@ -32,6 +32,7 @@ class Frozen:
         # Each field is set through its slot's own descriptor, which the
         # refusing __setattr__ below does not stand in front of.
         namespace = {f"set_{name}": getattr(cls, name).__set__ for name in fields}
+        namespace["__name__"] = cls.__module__  # the module __init__ names as its own
         params = ", ".join(fields)
         lines = [f"def __init__(self, {params}):"]
         if hasattr(cls, "_check"):

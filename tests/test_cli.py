@@ -30,8 +30,8 @@ from transmit.errors import decimal_text
 from transmit.formulas import TransmissionTriple, path_triple
 
 from expr_strategies import expressions, texts_with_faults
-from test_cli_bytes import EVAL_JSON, HIST_CSV
 from recurrences import power_coefficients, tree_recurrence
+from test_cli_bytes import EVAL_JSON, HIST_CSV
 
 
 def run(capsys, *argv):
