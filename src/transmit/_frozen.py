@@ -32,7 +32,7 @@ class Frozen:
         # Each field is set through its slot's own descriptor, which the
         # refusing __setattr__ below does not stand in front of.
         namespace = {f"set_{name}": getattr(cls, name).__set__ for name in fields}
-        namespace["__name__"] = cls.__module__  # the module __init__ names as its own
+        namespace["__name__"] = cls.__module__  # so that __init__.__module__ is the class's
         params = ", ".join(fields)
         lines = [f"def __init__(self, {params}):"]
         if hasattr(cls, "_check"):
